@@ -12,6 +12,14 @@ reassignment from a quantile initialization along the first principal
 axis; the entropy kind never changes the ranking, it only selects the
 flavor of the reported score (Tsallis q=2 reports the separation sum
 of (1 - potential) per pair).
+
+Everything kernel-valued is computed exactly on the u distinct feature
+rows, weighted by how many samples share each row: the kernel is u x u
+(u <= 256 for one 8-bit band, u <= n always), the descent state is
+kernel mass per (distinct row, cluster), and the CEF is
+C^T K C over the u x k count matrix C.  No n x n array over samples is
+formed.  Inputs whose u x u kernel would exceed _MAX_KERNEL_BYTES are
+refused with a ValueError before it is allocated.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from .entropy import EntropyKind
 from .raster import as_gray
@@ -41,6 +49,7 @@ _MAX_K = 8
 _MAX_PASSES = 50
 _MOVE_TOL = 1e-12
 _SIGMA_FLOOR = 1e-6
+_MAX_KERNEL_BYTES = 1 << 30  # largest u x u float64 kernel built
 
 
 @dataclass(frozen=True)
@@ -131,16 +140,37 @@ def _as_matrix(xs) -> np.ndarray:
     return f
 
 
+def _distinct_kernel(f: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel over the distinct rows of f, and each sample's row index.
+
+    Raises before allocating when the u x u kernel would exceed
+    _MAX_KERNEL_BYTES.
+    """
+    rows, inv = np.unique(f, axis=0, return_inverse=True)
+    u = rows.shape[0]
+    if u * u * 8 > _MAX_KERNEL_BYTES:
+        raise ValueError(
+            f"{u} distinct feature rows need a {u * u * 8 / 2**20:.0f} MiB "
+            f"kernel, over the {_MAX_KERNEL_BYTES >> 20} MiB limit")
+    K = np.exp(-cdist(rows, rows, "sqeuclidean") / (4.0 * sigma * sigma))
+    return K, inv.reshape(-1)
+
+
+def _value_counts(inv: np.ndarray, labels: np.ndarray, u: int, k: int) -> np.ndarray:
+    """C[v, c]: number of samples of distinct row v in cluster c."""
+    flat = np.bincount(inv * k + labels, minlength=u * k)
+    return flat.reshape(u, k).astype(np.float64)
+
+
 def information_potential(xs, sigma: float) -> float:
     """V(X) = (1/n^2) sum_ij exp(-|xi-xj|^2 / (4 sigma^2)), in (0, 1]."""
     f = _as_matrix(xs)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    K, inv = _distinct_kernel(f, sigma)
+    w = np.bincount(inv, minlength=K.shape[0]).astype(np.float64)
     n = f.shape[0]
-    if n == 1:
-        return 1.0
-    g = np.exp(-pdist(f, "sqeuclidean") / (4.0 * sigma * sigma))
-    return float((n + 2.0 * g.sum()) / (n * n))
+    return float(w @ K @ w / (n * n))
 
 
 def renyi_quadratic_entropy(xs, sigma: float) -> float:
@@ -148,24 +178,16 @@ def renyi_quadratic_entropy(xs, sigma: float) -> float:
     return -float(np.log(information_potential(xs, sigma)))
 
 
-def _kernel_matrix(f: np.ndarray, sigma: float) -> np.ndarray:
-    return np.exp(-cdist(f, f, "sqeuclidean") / (4.0 * sigma * sigma))
-
-
-def _pair_potentials(a: ClusterAssignment, xs: FeatureSet, sigma: float):
-    """Upper-triangle cross potentials V[c, c'] and cluster sizes."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    lab = a.labels
-    if lab.size != xs.n:
-        raise ValueError("assignment does not cover the feature set")
-    counts = np.bincount(lab, minlength=a.k)
-    K = _kernel_matrix(xs.features, sigma)
-    M = np.zeros((xs.n, a.k))
-    M[np.arange(xs.n), lab] = 1.0
-    W = M.T @ K @ M
-    V = W / np.outer(counts, counts)
-    return V, counts
+def _cef(K: np.ndarray, inv: np.ndarray, labels: np.ndarray, k: int,
+         kind: EntropyKind | None) -> float:
+    """cef() on a distinct-row kernel K and sample row indices inv."""
+    C = _value_counts(inv, labels, K.shape[0], k)
+    counts = C.sum(axis=0)
+    V = (C.T @ K @ C) / np.outer(counts, counts)
+    pairs = V[np.triu_indices(k, 1)]
+    if kind is not None and kind.name == "tsallis":
+        return float((1.0 - pairs).sum())
+    return float(pairs.sum())
 
 
 def cef(a: ClusterAssignment, xs: FeatureSet, sigma: float,
@@ -176,12 +198,12 @@ def cef(a: ClusterAssignment, xs: FeatureSet, sigma: float,
     every kind except Tsallis, which reports the separation sum of
     (1 - potential) per cluster pair.  Ranking always uses plain CEF.
     """
-    V, _ = _pair_potentials(a, xs, sigma)
-    iu = np.triu_indices(a.k, 1)
-    pairs = V[iu]
-    if kind is not None and kind.name == "tsallis":
-        return float((1.0 - pairs).sum())
-    return float(pairs.sum())
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if a.labels.size != xs.n:
+        raise ValueError("assignment does not cover the feature set")
+    K, inv = _distinct_kernel(xs.features, sigma)
+    return _cef(K, inv, a.labels, a.k, kind)
 
 
 def _principal_projection(f: np.ndarray) -> np.ndarray:
@@ -203,22 +225,31 @@ def _cef_from_state(W: np.ndarray, counts: np.ndarray) -> float:
     return float((W / np.outer(counts, counts))[iu].sum())
 
 
-def _descend(K: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, list[float]]:
-    """Greedy single-sample CEF descent; returns labels and pass trace."""
+def _descend(K: np.ndarray, inv: np.ndarray, labels: np.ndarray, k: int
+             ) -> tuple[np.ndarray, list[float]]:
+    """Greedy single-sample CEF descent; returns labels and pass trace.
+
+    K is the kernel over distinct feature rows and inv[i] the row of
+    sample i.  Samples are visited in index order; a move's delta
+    depends only on the sample's (row, label) pair and the state, so a
+    pair found not to improve is skipped until the next move.
+    """
     n = labels.size
-    M = np.zeros((n, k))
-    M[np.arange(n), labels] = 1.0
-    S = K @ M                    # S[i, c] = sum of K[i, j] over j in c
-    W = M.T @ S                  # within/between kernel mass per pair
+    C = _value_counts(inv, labels, K.shape[0], k)
+    S = K @ C                    # S[v, c] = sum of K[v, inv[j]] over j in c
+    W = C.T @ S                  # within/between kernel mass per pair
     counts = np.bincount(labels, minlength=k).astype(np.float64)
+    rows = inv.tolist()
     trace = [_cef_from_state(W, counts)]
     for _ in range(_MAX_PASSES):
         moved = False
+        stale = set()            # (row, label) pairs with no improving move
         for i in range(n):
+            v = rows[i]
             a = labels[i]
-            if counts[a] <= 1:
+            if (v, a) in stale or counts[a] <= 1:
                 continue
-            Si = S[i]
+            Si = S[v]
             invn = 1.0 / counts
             na1 = counts[a] - 1.0
             nb1 = counts + 1.0
@@ -248,12 +279,15 @@ def _descend(K: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, lis
                 W[b, :] += sib
                 W[:, b] += sib
                 W[b, b] += 1.0
-                S[:, a] -= K[:, i]
-                S[:, b] += K[:, i]
+                S[:, a] -= K[:, v]
+                S[:, b] += K[:, v]
                 counts[a] -= 1.0
                 counts[b] += 1.0
                 labels[i] = b
                 moved = True
+                stale.clear()
+            else:
+                stale.add((v, a))
         trace.append(_cef_from_state(W, counts))
         if not moved:
             break
@@ -287,7 +321,7 @@ def cluster(xs: FeatureSet, k: int, sigma: float | None = None,
         raise ValueError("sigma must be positive")
     f = xs.features
     proj = _principal_projection(f)
-    K = _kernel_matrix(f, sigma)
+    K, inv = _distinct_kernel(f, sigma)
     best_labels = None
     best_val = np.inf
     for r in range(restarts):
@@ -300,15 +334,14 @@ def cluster(xs: FeatureSet, k: int, sigma: float | None = None,
         order = np.argsort(p, kind="stable")
         labels = np.empty(xs.n, dtype=np.int64)
         labels[order] = (np.arange(xs.n, dtype=np.int64) * k) // xs.n
-        labels, run_trace = _descend(K, labels, k)
+        labels, run_trace = _descend(K, inv, labels, k)
         if trace is not None:
             trace[r] = run_trace
         val = run_trace[-1]
         if val < best_val:
             best_val = val
             best_labels = labels.copy()
-    assignment = ClusterAssignment(best_labels, k)
-    return assignment, cef(assignment, xs, sigma, kind)
+    return ClusterAssignment(best_labels, k), _cef(K, inv, best_labels, k, kind)
 
 
 def assignment_to_labelmap(a: ClusterAssignment, xs: FeatureSet, dims) -> np.ndarray:

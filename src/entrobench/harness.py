@@ -56,7 +56,7 @@ SCHEMA_VERSION = "1"
 CSV_HEADER = "task,entropy,param,dataset,level,metric,value,runtime_s,runtime_cat,seed"
 
 _TASKS = ("threshold", "register", "cluster")
-_TARGET_SAMPLES = 4096  # auto stride keeps kernel matrices desk-scale
+_TARGET_SAMPLES = 4096  # auto stride bounds the per-sample descent time
 
 
 def runtime_category(seconds: float) -> str:
@@ -132,7 +132,7 @@ class RegisterParams:
 @dataclass(frozen=True)
 class ClusterParams:
     k: int = 5
-    stride: int | None = None  # None: pick so samples stay near 4096
+    stride: int | None = None  # None: pick so samples stay near 4096 (descent time)
     restarts: int = 2
     sigma: float | None = None  # None: Silverman default
 

@@ -48,6 +48,79 @@ def brute_cef(labels, feats, sigma, k):
     return total
 
 
+def brute_potential(feats, sigma):
+    """Information potential by an explicit loop over all sample pairs."""
+    acc = 0.0
+    for x in feats:
+        for y in feats:
+            acc += np.exp(-np.sum((x - y) ** 2) / (4 * sigma * sigma))
+    return acc / (len(feats) * len(feats))
+
+
+def repeated_values(n, d, levels, seed):
+    """n samples in d bands drawn from a few grey levels, so rows repeat."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, levels, (n, d)) / (levels - 1)
+
+
+def reference_cluster(f, k, seed, restarts):
+    """cluster() from its definition, one restart per entry.
+
+    Same initialization as the library; each sample in turn is tried in
+    every other cluster, the whole CEF recomputed from the sample kernel
+    for each, and moved to the best if that lowers CEF by over 1e-12.
+    Returns (labels, per-pass CEF trace) per restart.
+    """
+    n = f.shape[0]
+    sigma = max(1.06 * f.std(axis=0).mean() * n ** (-0.2), 1e-6)
+    sq = ((f[:, None, :] - f[None, :, :]) ** 2).sum(axis=2)
+    K = np.exp(-sq / (4 * sigma * sigma))
+
+    def full_cef(labels):
+        return sum(K[np.ix_(labels == c, labels == cc)].mean()
+                   for c in range(k) for cc in range(c + 1, k))
+
+    if f.shape[1] == 1:
+        proj = f[:, 0].copy()
+    else:
+        centered = f - f.mean(axis=0)
+        v = np.linalg.eigh(centered.T @ centered)[1][:, -1]
+        if v[np.argmax(np.abs(v))] < 0:
+            v = -v
+        proj = centered @ v
+    runs = []
+    for r in range(restarts):
+        p = proj
+        if r > 0:
+            rng = np.random.default_rng((seed, r))
+            spread = proj.std()
+            p = proj + rng.normal(0.0, 0.01 * (spread if spread > 0 else 1.0), n)
+        labels = np.empty(n, dtype=np.int64)
+        labels[np.argsort(p, kind="stable")] = (np.arange(n) * k) // n
+        value = full_cef(labels)
+        trace = [value]
+        for _ in range(50):
+            moved = False
+            for i in range(n):
+                a = labels[i]
+                if (labels == a).sum() <= 1:
+                    continue
+                tried = {}
+                for b in range(k):
+                    if b != a:
+                        labels[i] = b
+                        tried[b] = full_cef(labels)
+                labels[i] = a
+                b = min(tried, key=lambda c: (tried[c], c))
+                if tried[b] - value < -1e-12:
+                    labels[i], value, moved = b, tried[b], True
+            trace.append(value)
+            if not moved:
+                break
+        runs.append((labels, trace))
+    return runs
+
+
 def test_feature_set_validation():
     with pytest.raises(ValueError):
         FeatureSet(np.array([[1.5]]), np.array([[0, 0]]))
@@ -185,6 +258,22 @@ def test_cef_matches_brute_force():
         brute_cef(labels, f, 0.15, 3), abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_cef_and_potential_repeated_values(d):
+    """Collapsing repeated rows to distinct ones weighted by counts is exact."""
+    f = repeated_values(40, d, 5, seed=d)
+    assert len(np.unique(f, axis=0)) <= 25
+    xs = FeatureSet(f, grid_coords(40))
+    labels = np.random.default_rng(d).integers(0, 3, 40)
+    labels[:3] = [0, 1, 2]
+    a = ClusterAssignment(labels, 3)
+    for sigma in (0.05, 0.3):
+        assert cef(a, xs, sigma) == pytest.approx(
+            brute_cef(labels, f, sigma, 3), abs=1e-12)
+        assert information_potential(xs, sigma) == pytest.approx(
+            brute_potential(f, sigma), abs=1e-12)
+
+
 def test_cef_permutation_invariance():
     rng = np.random.default_rng(3)
     f = rng.random((24, 1))
@@ -263,6 +352,38 @@ def test_cluster_descent_trace_monotone():
     # incremental bookkeeping agrees with a fresh evaluation at the end
     best = min(run[-1] for run in trace.values())
     assert cef(a, xs, silverman_sigma(xs)) == pytest.approx(best, abs=1e-9)
+
+
+@pytest.mark.parametrize("d,k,seed", [
+    (d, k, seed) for d in (1, 2) for k in (2, 3, 4) for seed in (0, 1)])
+def test_cluster_matches_reference_descent(d, k, seed):
+    f = repeated_values(60, d, 7 if d == 1 else 4, seed=10 * k + seed)
+    xs = FeatureSet(f, grid_coords(60))
+    trace = {}
+    a, _ = cluster(xs, k, seed=seed, restarts=2, trace=trace)
+    runs = reference_cluster(f, k, seed, restarts=2)
+    for r, (_, ref_trace) in enumerate(runs):
+        assert len(trace[r]) == len(ref_trace)
+        np.testing.assert_allclose(trace[r], ref_trace, rtol=0, atol=1e-9)
+    best = min(range(len(runs)), key=lambda r: runs[r][1][-1])
+    np.testing.assert_array_equal(a.labels, runs[best][0])
+    # the reference's own CEF agrees with the explicit pair loops
+    assert runs[best][1][-1] == pytest.approx(
+        brute_cef(runs[best][0], f, silverman_sigma(xs), k), abs=1e-12)
+
+
+def test_kernel_memory_guard():
+    """A distinct-row kernel over the limit is refused before allocation."""
+    i = np.arange(12000)
+    f = np.stack([i // 256, i % 256], axis=1) / 255.0  # 12,000 distinct rows
+    xs = FeatureSet(f, grid_coords(12000))
+    a = ClusterAssignment(i % 2, 2)
+    for call in (lambda: cluster(xs, 2),
+                 lambda: cef(a, xs, 0.1),
+                 lambda: information_potential(xs, 0.1)):
+        with pytest.raises(ValueError,
+                           match="12000 distinct feature rows need a 1099 MiB"):
+            call()
 
 
 def test_cluster_on_noisy_scene():
