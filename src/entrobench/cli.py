@@ -174,7 +174,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=5000,
                    help="heuristic-search evaluation budget")
     p.add_argument("--search", choices=("exhaustive", "heuristic"),
-                   default="exhaustive")
+                   default="exhaustive",
+                   help="exhaustive: exact for additive criteria at every "
+                        "level, exact Tsallis up to 3, the evolution "
+                        "strategy only for Tsallis at 4-5; heuristic: the "
+                        "evolution strategy at every level")
     p.add_argument("--criterion", choices=("max-entropy", "cross-entropy"),
                    default="max-entropy")
     p.add_argument("--truth-points", type=int, default=0,

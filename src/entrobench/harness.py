@@ -29,7 +29,8 @@ from .metrics import align_labels, confusion, kappa, overall_accuracy
 from .raster import decode_pgm, median_filter_3x3
 from .registration import RegisterConfig, SimilarityTransform, register
 from .scenes import named_scene, scene_pair
-from .thresholding import (Criterion, apply_thresholds, exhaustive_search,
+from .thresholding import (MAX_LEVELS_EXHAUSTIVE, Criterion, _exact_search,
+                           apply_thresholds, exhaustive_search,
                            heuristic_search)
 
 __all__ = [
@@ -369,14 +370,20 @@ def run_threshold_cell(img, truth, kind: EntropyKind | None,
                        ) -> list[ReportRow]:
     """One thresholding cell: search, label, score against truth.
 
-    Without ground truth the cell reports the criterion value instead
-    of agreement metrics.
+    With ``search = exhaustive`` the search is exact for the additive
+    criteria at every level (``exhaustive_search`` up to 3 thresholds,
+    the same dynamic program beyond) and exact for Tsallis up to 3; the
+    evolution strategy runs only for Tsallis at levels 4-5.  With
+    ``search = heuristic`` it runs at every level.  Without ground truth
+    the cell reports the criterion value instead of agreement metrics.
     """
     crit = Criterion.cross_entropy() if kind is None else Criterion(kind)
     t0 = time.perf_counter()
     h = histogram(img, params.bins)
-    if params.search == "exhaustive" and level <= 3:
+    if params.search == "exhaustive" and level <= MAX_LEVELS_EXHAUSTIVE:
         thresholds, value = exhaustive_search(h, level, crit)
+    elif params.search == "exhaustive" and crit.is_additive:
+        thresholds, value = _exact_search(h, level, crit)
     else:
         thresholds, value = heuristic_search(h, level, crit, seed=seed,
                                              budget=params.budget)

@@ -11,9 +11,14 @@ counts thresholds.  Two scoring rules are available:
   with mu_m the class intensity mean; lower is better, so searches
   negate it internally and always maximize.
 
-``exhaustive_search`` enumerates every valid tuple (k <= 3) and breaks
-ties toward the lexicographically smallest tuple; ``heuristic_search``
-is a seeded (mu + lambda) evolution strategy usable up to k = 5.
+Exact search comes first: the additive criteria (Shannon, Renyi, cross
+entropy) are solved exactly at every level by a dynamic program over
+the class table, and Tsallis exactly up to k = 3 by enumerating tuples
+of occupied bins.  Both break ties toward the lexicographically
+smallest tuple.  ``exhaustive_search`` is that exact search for k <= 3;
+``heuristic_search`` is a seeded (mu + lambda) evolution strategy usable
+up to k = 5, needed only for Tsallis at k = 4-5, where no cheap exact
+method exists.
 """
 
 from __future__ import annotations
@@ -67,6 +72,11 @@ class Criterion:
     @property
     def is_cross_entropy(self) -> bool:
         return self.kind is None
+
+    @property
+    def is_additive(self) -> bool:
+        """True when the tuple score is a plain sum of class terms."""
+        return self.kind is None or self.kind.name != "tsallis"
 
     @property
     def label(self) -> str:
@@ -226,78 +236,87 @@ def _dp_additive(neg_table: np.ndarray, k: int) -> tuple[int, ...]:
     return tuple(thresholds)
 
 
-def _tsallis_enumerate(table, valid, omq, k: int) -> tuple[int, ...]:
-    """Full enumeration for the pseudo-additive Tsallis composition."""
+def _tsallis_enumerate(table, omq, cand: np.ndarray, k: int) -> tuple[int, ...]:
+    """Exact enumeration for the pseudo-additive Tsallis composition.
+
+    ``cand`` holds the occupied bins but the last one.  A threshold in a
+    run of empty bins splits off the same classes, with bit-identical
+    table cells, as the occupied bin that starts the run, which is the
+    smallest threshold giving those classes; so only tuples of
+    candidates are scored, in ascending order, and argmax ties still
+    resolve to the lexicographically smallest tuple.  Every class of
+    such a tuple holds an occupied bin, so each one is valid.
+    """
     B = table.shape[0]
-    first = table[0, :B - 1]        # class [0, t1]
-    first_ok = valid[0, :B - 1]
-    last = table[1:, B - 1]         # class [t + 1, B-1] indexed by t
-    last_ok = valid[1:, B - 1]
-    mid = table[1:, :B - 1]         # class [a + 1, b] indexed by (a, b)
-    mid_ok = valid[1:, :B - 1]
+    n = cand.size
+    first = table[0, cand]                  # class [0, t1]
+    last = table[cand + 1, B - 1]           # class [t + 1, B-1] indexed by t
+    mid = table[np.ix_(cand + 1, cand)]     # class [a + 1, b] indexed by (a, b)
     if k == 1:
         tot = first + last + omq * first * last
-        tot = np.where(first_ok & last_ok, tot, -np.inf)
-        t = int(np.argmax(tot))
-        if not np.isfinite(tot[t]):
-            raise ValueError("no valid threshold tuple")
-        return (t,)
+        return (int(cand[np.argmax(tot)]),)
     if k == 2:
         S = first[:, None] + mid + last[None, :]
         P = first[:, None] * mid * last[None, :]
-        tot = np.where(first_ok[:, None] & mid_ok & last_ok[None, :],
-                       S + omq * P, -np.inf)
-        flat = int(np.argmax(tot))
-        t1, t2 = divmod(flat, B - 1)
-        if not np.isfinite(tot[t1, t2]):
-            raise ValueError("no valid threshold tuple")
-        return (t1, t2)
+        tot = np.where(np.triu(np.ones((n, n), dtype=bool), 1), S + omq * P, -np.inf)
+        i, j = divmod(int(np.argmax(tot)), n)
+        return (int(cand[i]), int(cand[j]))
     best_val = -np.inf
     best = None
-    # only t1 < t2 < t3 <= B - 2 can be valid: scan the block
-    # t2 in [t1 + 1, B - 3], t3 in [t1 + 2, B - 2]; its row-major order
-    # is the full grid's, so argmax ties still resolve lexicographically
-    for t1 in np.flatnonzero(first_ok[:B - 3]):
-        s1 = first[t1]
-        a = t1 + 1
-        second = table[a, a:B - 2]
-        second_ok = valid[a, a:B - 2]
-        m, m_ok = mid[a:B - 2, a + 1:], mid_ok[a:B - 2, a + 1:]
-        end, end_ok = last[a + 1:], last_ok[a + 1:]
+    # for each t1 = cand[i], t2 = cand[j] and t3 = cand[l] with i < j < l;
+    # the (j, l) block keeps row-major order, so ties stay lexicographic
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    for i in range(n - 2):
+        s1 = first[i]
+        second = mid[i, i + 1:n - 1]
+        m = mid[i + 1:n - 1, i + 2:]
+        end = last[i + 2:]
         S = s1 + second[:, None] + m + end[None, :]
         P = s1 * second[:, None] * m * end[None, :]
-        tot = np.where(second_ok[:, None] & m_ok & end_ok[None, :],
-                       S + omq * P, -np.inf)
+        tot = np.where(upper[:n - i - 2, :n - i - 2], S + omq * P, -np.inf)
         flat = int(np.argmax(tot))
         val = tot.flat[flat]
         if val > best_val:
-            i, j = divmod(flat, tot.shape[1])
+            j, l = divmod(flat, tot.shape[1])
             best_val = val
-            best = (int(t1), a + i, a + 1 + j)
-    if best is None or not np.isfinite(best_val):
-        raise ValueError("no valid threshold tuple")
+            best = (int(cand[i]), int(cand[i + 1 + j]), int(cand[i + 2 + l]))
     return best
 
 
-def exhaustive_search(hist, k: int,
-                      criterion: Criterion = Criterion()) -> tuple[tuple[int, ...], float]:
-    """Globally optimal threshold tuple by full enumeration (k <= 3).
+def _exact_search(hist, k: int, criterion: Criterion) -> tuple[tuple[int, ...], float]:
+    """Globally optimal threshold tuple by exact search.
 
-    Ties resolve to the lexicographically smallest tuple.  Raises when
-    the histogram occupies fewer than k + 1 bins (no valid tuple).
+    Additive criteria take the DP at any k <= MAX_LEVELS; Tsallis takes
+    the occupied-bin enumeration at k <= MAX_LEVELS_EXHAUSTIVE.  Ties
+    resolve to the lexicographically smallest tuple.  Raises when the
+    histogram occupies fewer than k + 1 bins (no valid tuple).
     """
     h = _check_hist(hist)
-    if not 1 <= k <= MAX_LEVELS_EXHAUSTIVE:
-        raise ValueError(f"k {k} outside [1, {MAX_LEVELS_EXHAUSTIVE}]")
-    if np.count_nonzero(h) < k + 1:
-        raise ValueError(f"no valid tuple: {np.count_nonzero(h)} occupied bins "
+    top = MAX_LEVELS if criterion.is_additive else MAX_LEVELS_EXHAUSTIVE
+    if not 1 <= k <= top:
+        raise ValueError(f"k {k} outside [1, {top}]")
+    occupied = np.flatnonzero(h)
+    if occupied.size < k + 1:
+        raise ValueError(f"no valid tuple: {occupied.size} occupied bins "
                          f"cannot fill {k + 1} classes")
     table, valid, omq = _class_table(h, criterion)
     if omq is None:
         t = _dp_additive(np.where(valid, table, -np.inf), k)
     else:
-        t = _tsallis_enumerate(table, valid, omq, k)
+        t = _tsallis_enumerate(table, omq, occupied[:-1], k)
     return t, criterion_value(h, t, criterion)
+
+
+def exhaustive_search(hist, k: int,
+                      criterion: Criterion = Criterion()) -> tuple[tuple[int, ...], float]:
+    """Globally optimal threshold tuple by exact search (k <= 3).
+
+    Ties resolve to the lexicographically smallest tuple.  Raises when
+    the histogram occupies fewer than k + 1 bins (no valid tuple).
+    """
+    if not 1 <= k <= MAX_LEVELS_EXHAUSTIVE:
+        raise ValueError(f"k {k} outside [1, {MAX_LEVELS_EXHAUSTIVE}]")
+    return _exact_search(hist, k, criterion)
 
 
 def _batch_scores(table, valid, omq, cand: np.ndarray) -> np.ndarray:

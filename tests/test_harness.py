@@ -1,5 +1,7 @@
 """Tests for the experiment-matrix runner and its CSV reporting."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from entrobench.harness import (CSV_HEADER, ClusterParams, DatasetSpec,
                                 truth_point_mask)
 from entrobench.raster import median_filter_3x3
 from entrobench.scenes import named_scene
-from entrobench.thresholding import Criterion, exhaustive_search
+from entrobench.thresholding import (Criterion, criterion_value,
+                                     exhaustive_search, heuristic_search)
 
 RENYI2 = EntropyKind.renyi(2.0)
 TSALLIS2 = EntropyKind.tsallis(2.0)
@@ -310,6 +313,62 @@ def test_run_threshold_cell_high_level_falls_back_to_heuristic():
     rows = run_threshold_cell(img, truth, SHANNON,
                               ThresholdParams(budget=1500), 4, 0, "d")
     assert rows[0].metric == "kappa" and np.isfinite(rows[0].value)
+
+
+def small_support_image():
+    """A 48x48 image over 12 gray levels with unequal counts."""
+    rng = np.random.default_rng(11)
+    levels = np.array([3, 9, 10, 40, 41, 77, 120, 121, 122, 180, 230, 254])
+    return rng.choice(levels, size=(48, 48),
+                      p=rng.dirichlet(np.ones(levels.size))).astype(np.uint8)
+
+
+def brute_optimum(h, k, crit):
+    """Best criterion over every threshold tuple, scored by criterion_value.
+
+    A threshold inside a run of empty bins gives the same classes as the
+    occupied bin that starts the run, so the tuples of occupied bins (but
+    the last) cover every partition.
+    """
+    cand = np.flatnonzero(h)[:-1]
+    sign = -1.0 if crit.is_cross_entropy else 1.0
+    return max(sign * criterion_value(h, t, crit)
+               for t in itertools.combinations(cand.tolist(), k))
+
+
+@pytest.mark.parametrize("level", [4, 5])
+@pytest.mark.parametrize("kind", [SHANNON, RENYI2, None],
+                         ids=["shannon", "renyi2", "cross-entropy"])
+def test_run_threshold_cell_additive_high_level_is_exact(kind, level):
+    img = small_support_image()
+    h = histogram(img)
+    assert np.count_nonzero(h) <= 14
+    crit = Criterion.cross_entropy() if kind is None else Criterion(kind)
+    # the smallest budget the ES accepts: the exact search ignores it
+    params = ThresholdParams(budget=250)
+    rows = run_threshold_cell(img, None, kind, params, level, 0, "d")
+    sign = -1.0 if kind is None else 1.0
+    assert sign * rows[0].value == pytest.approx(brute_optimum(h, level, crit),
+                                                 abs=1e-9)
+
+
+@pytest.mark.parametrize("level", [4, 5])
+def test_run_threshold_cell_tsallis_high_level_uses_heuristic(level):
+    img, _ = small_scene("five-region", 64, 6.0)
+    params = ThresholdParams(budget=1500)
+    rows = run_threshold_cell(img, None, TSALLIS2, params, level, 3, "d")
+    _, expected = heuristic_search(histogram(img), level, Criterion(TSALLIS2),
+                                   seed=3, budget=1500)
+    assert rows[0].value == expected
+
+
+def test_run_threshold_cell_heuristic_search_at_level_4():
+    img, _ = small_scene("five-region", 64, 6.0)
+    params = ThresholdParams(search="heuristic", budget=1500)
+    rows = run_threshold_cell(img, None, SHANNON, params, 4, 2, "d")
+    _, expected = heuristic_search(histogram(img), 4, Criterion(SHANNON),
+                                   seed=2, budget=1500)
+    assert rows[0].value == expected
 
 
 def test_run_register_cell_self_pair():

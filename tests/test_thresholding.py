@@ -10,6 +10,7 @@ from entrobench.metrics import align_labels, confusion, kappa
 from entrobench.raster import Region, SceneSpec, generate_scene
 from entrobench.thresholding import (
     Criterion,
+    _class_table,
     apply_thresholds,
     check_thresholds,
     class_distribution,
@@ -205,6 +206,74 @@ def test_exhaustive_errors():
         exhaustive_search(mixture_hist(np.random.default_rng(0)), 4, SHANNON_C)
     with pytest.raises(ValueError):
         exhaustive_search(np.zeros(256), 1, SHANNON_C)
+
+
+def full_grid_tsallis(h, k, q):
+    """Tsallis argmax over every tuple of [0, B-2]^k in row-major order.
+
+    Scores come from the module's class table in the enumeration's own
+    summation order, so equal tuples score bit-identically and ties are
+    resolved by the grid's order: the lexicographically smallest tuple.
+    """
+    table, valid, omq = _class_table(np.asarray(h, dtype=np.float64),
+                                     Criterion(EntropyKind.tsallis(q)))
+    B = table.shape[0]
+    t = [np.arange(B - 1).reshape((-1,) + (1,) * (k - 1 - j)) for j in range(k)]
+    lo = [0] + [x + 1 for x in t]
+    hi = t + [B - 1]
+    terms = [table[a, b] for a, b in zip(lo, hi)]
+    ok = valid[0, t[0]]
+    for a, b in zip(lo[1:], hi[1:]):
+        ok = ok & valid[a, b]
+    S = terms[0]
+    for x in terms[1:]:
+        S = S + x
+    if k == 1:
+        tot = S + omq * terms[0] * terms[1]
+    else:
+        P = terms[0]
+        for x in terms[1:]:
+            P = P * x
+        tot = S + omq * P
+    tot = np.where(ok, tot, -np.inf)
+    return tuple(int(x) for x in np.unravel_index(np.argmax(tot), tot.shape))
+
+
+def sparse_cases():
+    rng = np.random.default_rng(41)
+    cases = []
+    for bins in (16, 40, 64):
+        # sparse: a few occupied bins anywhere
+        h = np.zeros(bins, dtype=np.int64)
+        h[rng.choice(bins, size=6, replace=False)] = rng.integers(1, 50, 6)
+        cases.append(h)
+        # spiky with tied masses, placed symmetrically
+        cases.append(spikes([1, bins // 4, bins // 2, bins - 2], [7, 7, 7, 7], bins))
+        cases.append(spikes([0, 3, bins - 4, bins - 1], [5, 9, 9, 5], bins))
+        # edge-packed: all mass in the first and last few bins
+        cases.append(spikes([0, 1, 2, bins - 3, bins - 2, bins - 1],
+                            [3, 1, 4, 4, 1, 3], bins))
+        # runs of empty bins between occupied runs
+        h = np.zeros(bins, dtype=np.int64)
+        for start in range(0, bins - 3, 9):
+            h[start:start + 3] = rng.integers(1, 20, 3)
+        cases.append(h)
+        # a plateau: every tuple of equal class sizes ties
+        h = np.zeros(bins, dtype=np.int64)
+        h[2:bins - 2:2] = 10
+        cases.append(h)
+    return cases
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0, 3.0])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tsallis_occupied_bins_match_full_grid(k, q):
+    crit = Criterion(EntropyKind.tsallis(q))
+    for h in sparse_cases():
+        if np.count_nonzero(h) < k + 1:
+            continue
+        t, _ = exhaustive_search(h, k, crit)
+        assert t == full_grid_tsallis(h, k, q), h.tolist()
 
 
 def test_heuristic_deterministic():
