@@ -146,7 +146,11 @@ def entropy(p, kind: EntropyKind = SHANNON) -> float:
     Accepts any array shape (a joint distribution flattens to its bin
     probabilities).  The distribution must sum to 1 within 1e-9.
     """
-    q = _check_dist(p)
+    return _entropy(_check_dist(p), kind)
+
+
+def _entropy(q: np.ndarray, kind: EntropyKind) -> float:
+    """``entropy`` without the check; q is a 1-D float64 distribution."""
     if kind.name == "shannon":
         nz = q[q > 0]
         return float(-(nz * np.log(nz)).sum())
@@ -207,6 +211,10 @@ def mutual_information(joint, kind: EntropyKind = SHANNON) -> float:
     if j.ndim != 2:
         raise ValueError("expected a 2-D joint distribution")
     _check_dist(j)
-    pa = j.sum(axis=1)
-    pb = j.sum(axis=0)
-    return entropy(pa, kind) + entropy(pb, kind) - entropy(j, kind)
+    return _mutual_information(j, kind)
+
+
+def _mutual_information(j: np.ndarray, kind: EntropyKind) -> float:
+    """``mutual_information`` without the checks; j is a 2-D float64 distribution."""
+    return (_entropy(j.sum(axis=1), kind) + _entropy(j.sum(axis=0), kind)
+            - _entropy(j.ravel(), kind))

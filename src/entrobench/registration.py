@@ -5,6 +5,14 @@ with c = ((W-1)/2, (H-1)/2).  Registration runs a multi-start
 Nelder-Mead descent on the negated generalized mutual information,
 with a half-resolution first stage on large images, and reports NCCC
 and control-point RMSE diagnostics alongside the recovered transform.
+
+``mi_objective`` is the checked, self-contained MI of one transform.
+``register`` evaluates the same value through a private evaluator that
+is prepared once per image pair and pyramid level: the reference is
+binned once, the warp repeats ``transform_apply``'s arithmetic into
+reused buffers, and the joint histogram goes straight to an unchecked
+MI.  Its values equal ``mi_objective``'s bit for bit, so the search and
+its results do not depend on which of the two it calls.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .entropy import SHANNON, EntropyKind, joint_histogram, mutual_information
+from .entropy import (SHANNON, EntropyKind, _check_bins, _mutual_information,
+                      joint_histogram, mutual_information)
 from .raster import as_gray
 
 __all__ = [
@@ -34,6 +43,7 @@ __all__ = [
 _SCALE_LO = 0.5
 _SCALE_HI = 2.0
 _MIN_OVERLAP = 0.10
+_EDGE_TOL = 1e-9  # source coordinates this far outside the raster still count
 _FAIL = 1e9  # objective value for starts without usable overlap
 
 
@@ -125,7 +135,7 @@ def transform_apply(img, T: SimilarityTransform) -> tuple[np.ndarray, np.ndarray
     rely = np.arange(h, dtype=np.float64)[:, None] - cy
     xs = cosr * relx - sinr * rely + cx + inv.dx
     ys = sinr * relx + cosr * rely + cy + inv.dy
-    tol = 1e-9
+    tol = _EDGE_TOL
     valid = ((xs >= -tol) & (xs <= w - 1 + tol)
              & (ys >= -tol) & (ys <= h - 1 + tol))
     sampled = map_coordinates(a.astype(np.float64), [ys, xs],
@@ -180,6 +190,111 @@ def mi_objective(ref, moving, T: SimilarityTransform,
     return mutual_information(joint, kind)
 
 
+class _MIEvaluator:
+    """``mi_objective`` for one fixed (ref, moving) pair, prepared once.
+
+    Calls return exactly the value ``mi_objective(ref, moving, T, kind,
+    bins)`` returns, or None where it raises for insufficient overlap.
+    Set-up checks ``bins``, bins the reference and edge-pads the moving
+    image by one row and column, so that the second corner of a sample
+    on the last row or column reads the edge pixel as scipy's
+    ``mode="nearest"`` does.  A call computes the coordinates and the
+    overlap exactly as ``transform_apply`` does and repeats
+    ``map_coordinates``' order-1 arithmetic: clamped coordinates,
+    weights ``w0 = 1 - (x - floor(x))`` and ``w1 = 1 - w0``, terms
+    ``(v * wy) * wx`` summed corner by corner in row-major order.
+    Pixels outside the overlap go to one extra trash bin of a single
+    ``bincount``.  Inputs are uint8 rasters of equal shape.
+    """
+
+    def __init__(self, ref: np.ndarray, moving: np.ndarray,
+                 kind: EntropyKind, bins: int):
+        self.bins = _check_bins(bins)
+        self.kind = kind
+        h, w = ref.shape
+        self.shape = (h, w)
+        self.cx, self.cy = (w - 1) / 2.0, (h - 1) / 2.0
+        self.relx = np.arange(w, dtype=np.float64)[None, :] - self.cx
+        self.rely = np.arange(h, dtype=np.float64)[:, None] - self.cy
+        # each reference pixel's row offset in the flattened joint histogram
+        self.ref_offset = (((ref.astype(np.intp) * self.bins) >> 8)
+                           * self.bins).astype(np.float64)
+        padded = np.pad(moving.astype(np.float64), ((0, 1), (0, 1)), mode="edge")
+        flat = padded.ravel()
+        # the four corners of a sample whose top-left corner has flat index i
+        self.corners = (flat, flat[1:], flat[w + 1:], flat[w + 2:])
+        self.xs, self.ys, self.x0, self.y0, self.wx0, self.wy0 = (
+            np.empty((h, w)) for _ in range(6))
+        self.index = np.empty((h, w), dtype=np.intp)
+        self.outside, self.flag = (np.empty((h, w), dtype=bool) for _ in range(2))
+
+    def __call__(self, T: SimilarityTransform) -> float | None:
+        h, w = self.shape
+        xs, ys, outside, flag = self.xs, self.ys, self.outside, self.flag
+        inv = T.inverse()
+        cosr = inv.scale * math.cos(inv.theta)
+        sinr = inv.scale * math.sin(inv.theta)
+        np.subtract(cosr * self.relx, sinr * self.rely, out=xs)
+        xs += self.cx
+        xs += inv.dx
+        np.add(sinr * self.relx, cosr * self.rely, out=ys)
+        ys += self.cy
+        ys += inv.dy
+        tol = _EDGE_TOL
+        np.less(xs, -tol, out=outside)
+        np.greater(xs, w - 1 + tol, out=flag)
+        outside |= flag
+        np.less(ys, -tol, out=flag)
+        outside |= flag
+        np.greater(ys, h - 1 + tol, out=flag)
+        outside |= flag
+        n_valid = outside.size - np.count_nonzero(outside)
+        if n_valid < _MIN_OVERLAP * outside.size:
+            return None
+
+        # clamp, then split each coordinate c into its corner c0 and the
+        # weights w0 = 1 - (c - c0) and w1 = 1 - w0, which overwrite c
+        np.clip(xs, 0.0, w - 1.0, out=xs)
+        np.clip(ys, 0.0, h - 1.0, out=ys)
+        for c, c0, w0 in ((xs, self.x0, self.wx0), (ys, self.y0, self.wy0)):
+            np.floor(c, out=c0)
+            np.subtract(c, c0, out=c)
+            np.subtract(1.0, c, out=w0)
+            np.subtract(1.0, w0, out=c)
+        wx0, wx1, wy0, wy1 = self.wx0, xs, self.wy0, ys
+        # flat index of each sample's top-left corner in the padded image
+        index = self.index
+        y0 = self.y0
+        y0 *= w + 1
+        y0 += self.x0
+        index[...] = y0
+        v00, v01, v10, v11 = self.corners
+        acc, term = self.x0, self.y0
+        # indices are in range by construction; mode="clip" skips the check
+        np.take(v00, index, out=acc, mode="clip")
+        acc *= wy0
+        acc *= wx0
+        for v, wy, wx in ((v01, wy0, wx1), (v10, wy1, wx0), (v11, wy1, wx1)):
+            np.take(v, index, out=term, mode="clip")
+            term *= wy
+            term *= wx
+            acc += term
+        # a sample is a convex combination of uint8 values, so rint lands
+        # in [0, 255]: the clip transform_apply applies changes nothing.
+        # The bin i * bins // 256 of the integer i is its scaled value
+        # floored, exactly, since bins is a power of two; the joint index
+        # is floored by the truncating cast, as every term is nonnegative.
+        np.rint(acc, out=acc)
+        acc *= self.bins / 256.0
+        acc += self.ref_offset
+        nb = self.bins * self.bins
+        np.copyto(acc, nb, where=outside)
+        index[...] = acc
+        counts = np.bincount(index.ravel(), minlength=nb + 1)
+        joint = counts[:nb].reshape(self.bins, self.bins).astype(np.float64) / n_valid
+        return _mutual_information(joint, self.kind)
+
+
 def _decimate(a: np.ndarray) -> np.ndarray:
     """2x block-mean reduction, rounded back to uint8."""
     h2, w2 = a.shape[0] // 2, a.shape[1] // 2
@@ -210,10 +325,14 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
     [0.8,1.25].  Images at least 64 px on a side get a half-resolution
     first stage (60% of budget) before full-resolution refinement.
     Deterministic for fixed inputs and config; total objective
-    evaluations never exceed the budget.
+    evaluations never exceed the budget.  Each evaluation returns
+    exactly ``-mi_objective(...)``, or a fixed penalty where the overlap
+    is under 10% of the raster.
 
-    rmse in the result is nan unless true_transform is given; control
-    points default to the four corners plus the center.
+    Raises ValueError before the search for a ``bins`` that does not
+    divide 256 and for a constant ref or moving image, whose NCCC is
+    undefined.  rmse in the result is nan unless true_transform is
+    given; control points default to the four corners plus the center.
     """
     t_start = time.perf_counter()
     r = as_gray(ref)
@@ -224,6 +343,9 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
         raise ValueError(f"budget {config.budget} below minimum 200")
     if config.restarts < 0:
         raise ValueError("restarts must be >= 0")
+    if r.min() == r.max() or m.min() == m.max():
+        # nccc of the result would raise this after the whole search
+        raise ValueError("constant image on the valid set")
 
     rng = np.random.default_rng(config.seed)
     starts = [np.array([0.0, 0.0, 0.0, 1.0])]
@@ -234,16 +356,16 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
     state = {"n": 0}
 
     def make_objective(ra, ma, cap, track):
+        evaluate = _MIEvaluator(ra, ma, kind, config.bins)
+
         def objective(vec):
             if state["n"] >= cap:
                 raise _BudgetExhausted
             state["n"] += 1
             s = min(max(float(vec[3]), _SCALE_LO), _SCALE_HI)
             T = SimilarityTransform(float(vec[0]), float(vec[1]), float(vec[2]), s)
-            try:
-                val = -mi_objective(ra, ma, T, kind, config.bins)
-            except ValueError:
-                val = _FAIL
+            mi = evaluate(T)
+            val = _FAIL if mi is None else -mi
             if val < track["val"] and val < _FAIL:
                 track["val"] = val
                 track["vec"] = np.array([vec[0], vec[1], vec[2], s])

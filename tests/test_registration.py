@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from entrobench import registration
 from entrobench.entropy import EntropyKind, SHANNON, histogram, normalize, entropy
 from entrobench.raster import generate_scene
 from entrobench.registration import (
@@ -17,15 +18,43 @@ from entrobench.registration import (
     rmse_control_points,
     transform_apply,
 )
-from entrobench.scenes import five_region_spec
+from entrobench.scenes import five_region_spec, scene_pair
 
 I = SimilarityTransform.identity()
+KINDS = (SHANNON, EntropyKind.renyi(0.5), EntropyKind.renyi(2.0),
+         EntropyKind.tsallis(2.0), EntropyKind.tsallis(3.0))
 
 
-def scene_image(size=128, noise=8.0, seed=0):
-    img, _ = generate_scene(five_region_spec(width=size, height=size,
+def scene_image(size=128, noise=8.0, seed=0, height=None):
+    img, _ = generate_scene(five_region_spec(width=size, height=height or size,
                                              noise=noise), seed=seed)
     return img
+
+
+def reference_mi(ref, moving, T, kind, bins):
+    """mi_objective, with None where it raises for insufficient overlap."""
+    try:
+        return mi_objective(ref, moving, T, kind, bins)
+    except ValueError as exc:
+        if "insufficient overlap" not in str(exc):
+            raise
+        return None
+
+
+class ReferenceEvaluator:
+    """Stands in for registration._MIEvaluator, built on mi_objective."""
+
+    def __init__(self, ref, moving, kind, bins):
+        self.args = ref, moving, kind, bins
+
+    def __call__(self, T):
+        ref, moving, kind, bins = self.args
+        return reference_mi(ref, moving, T, kind, bins)
+
+
+def result_fields(res):
+    """Every RegistrationResult field except runtime."""
+    return (res.transform, res.mi_final, res.nccc, res.rmse, res.evaluations)
 
 
 def test_transform_validation():
@@ -149,6 +178,77 @@ def test_mi_objective_insufficient_overlap():
     img = scene_image(size=64)
     with pytest.raises(ValueError):
         mi_objective(img, img, SimilarityTransform(dx=62.0))
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (128, 128), (256, 256),
+                                   (50, 60), (65, 64)])
+@pytest.mark.parametrize("bins", [2, 16, 64, 256])
+def test_mi_evaluator_equals_mi_objective(shape, bins):
+    h, w = shape
+    ref = scene_image(w, height=h, seed=0)
+    moving = scene_image(w, height=h, seed=1)
+    rng = np.random.default_rng(bins * 1000 + h * 7 + w)
+    transforms = [SimilarityTransform(rng.uniform(-15, 15), rng.uniform(-15, 15),
+                                      rng.uniform(-0.3, 0.3), rng.uniform(0.7, 1.4))
+                  for _ in range(4 if h * w > 128 * 128 else 8)]
+    # integer shifts put coordinates exactly on the last row and column,
+    # half-pixel shifts put every weight at 0.5, and turns put coordinates
+    # within rounding of the border, inside the overlap tolerance
+    transforms += [SimilarityTransform(dx, dy) for dx, dy in
+                   ((-1.0, 0.0), (0.0, -1.0), (2.0, -3.0), (-0.5, 0.5), (1.5, -2.5))]
+    transforms += [SimilarityTransform(theta=t) for t in (math.pi / 2, -math.pi / 2, math.pi)]
+    # shifts keeping the fewest columns that still make 10% overlap (exactly
+    # 10% at 50x60), then one column fewer, then far less
+    keep = math.ceil(0.1 * w)
+    transforms += [SimilarityTransform(dx=float(w - keep)),
+                   SimilarityTransform(dx=float(w - keep + 1)),
+                   SimilarityTransform(dx=0.95 * w), SimilarityTransform(dy=-0.92 * h)]
+    for kind in KINDS:
+        evaluate = registration._MIEvaluator(ref, moving, kind, bins)
+        for T in transforms:
+            expected = reference_mi(ref, moving, T, kind, bins)
+            got = evaluate(T)
+            if expected is None:
+                assert got is None, (kind, T)
+            else:
+                assert got == expected, (kind, T)
+    assert evaluate(transforms[-1]) is None  # the None branch did run
+
+
+@pytest.mark.parametrize("case", ["shifted-128", "self-128", "crop-50x60"])
+def test_register_with_evaluator_equals_mi_objective_reference(case, monkeypatch):
+    ref, moving, truth = scene_pair("five-region", 128, 128, 8.0, 0, 0)
+    kinds = (SHANNON, EntropyKind.tsallis(2.0))
+    if case == "self-128":
+        moving, truth, kinds = ref, I, (SHANNON,)
+    elif case == "crop-50x60":  # under 64 px: no half-resolution stage
+        ref, moving = ref[30:80, 20:80], moving[30:80, 20:80]
+    for kind in kinds:
+        fast = register(ref, moving, kind, true_transform=truth)
+        with monkeypatch.context() as mp:
+            mp.setattr(registration, "_MIEvaluator", ReferenceEvaluator)
+            slow = register(ref, moving, kind, true_transform=truth)
+        assert result_fields(fast) == result_fields(slow)
+
+
+def test_register_rejects_bins_before_search():
+    img = scene_image(size=64)
+    with pytest.raises(ValueError, match="divisor of 256"):
+        register(img, img, config=RegisterConfig(bins=7))
+
+
+@pytest.mark.parametrize("flat_side", ["ref", "moving"])
+def test_register_constant_image_fails_before_search(flat_side, monkeypatch):
+    img = scene_image(size=64)
+    flat = np.full_like(img, 7)
+    ref, moving = (flat, img) if flat_side == "ref" else (img, flat)
+
+    def no_search(*args):
+        pytest.fail("search started on a constant image")
+
+    monkeypatch.setattr(registration, "_MIEvaluator", no_search)
+    with pytest.raises(ValueError, match="constant image on the valid set"):
+        register(ref, moving)
 
 
 def test_register_self_recovers_identity():
