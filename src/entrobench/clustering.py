@@ -9,9 +9,9 @@ Gaussian kernel G(u) = exp(-|u|^2 / (4 sigma^2)),
 which is 0 for infinitely separated clusters and grows as clusters
 overlap, so lower is better.  ``cluster`` descends CEF by single-sample
 reassignment from a quantile initialization along the first principal
-axis; the entropy kind never changes the ranking, it only selects the
-flavor of the reported score (Tsallis q=2 reports the separation sum
-of (1 - potential) per pair).
+axis.  The partition takes no entropy kind and ``cluster`` reports the
+plain CEF; ``cef`` scores an assignment in the flavor a kind selects
+(Tsallis reports the separation sum of (1 - potential) per pair).
 
 Everything kernel-valued is computed exactly on the u distinct feature
 rows, weighted by how many samples share each row: the kernel is u x u
@@ -295,16 +295,17 @@ def _descend(K: np.ndarray, inv: np.ndarray, labels: np.ndarray, k: int
 
 
 def cluster(xs: FeatureSet, k: int, sigma: float | None = None,
-            kind: EntropyKind | None = None, seed: int = 0,
-            restarts: int = 2, trace: dict | None = None
+            seed: int = 0, restarts: int = 2, trace: dict | None = None
             ) -> tuple[ClusterAssignment, float]:
-    """CEF-descent clustering into k groups.
+    """CEF-descent clustering into k groups, with the plain CEF.
 
     Each restart initializes by quantile split along the first
     principal feature axis (later restarts jitter the projection) and
     descends by single-sample reassignment until a pass makes no move
     or 50 passes elapse.  The best restart by plain CEF wins, ties to
     the lower restart index.  Deterministic for fixed inputs and seed.
+    No entropy kind enters the partition; ``cef`` gives another kind's
+    flavor of the score.
 
     sigma defaults to silverman_sigma(xs).  When ``trace`` is a dict it
     receives the per-pass CEF list of each restart, keyed by index.
@@ -341,7 +342,7 @@ def cluster(xs: FeatureSet, k: int, sigma: float | None = None,
         if val < best_val:
             best_val = val
             best_labels = labels.copy()
-    return ClusterAssignment(best_labels, k), _cef(K, inv, best_labels, k, kind)
+    return ClusterAssignment(best_labels, k), _cef(K, inv, best_labels, k, None)
 
 
 def assignment_to_labelmap(a: ClusterAssignment, xs: FeatureSet, dims) -> np.ndarray:

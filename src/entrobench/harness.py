@@ -104,6 +104,14 @@ def emit_csv(rows, path) -> Path:
     return p
 
 
+def _reject_repeats(what: str, values) -> None:
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise ValueError(f"duplicate {what} {v!r}")
+        seen.add(v)
+
+
 @dataclass(frozen=True)
 class ThresholdParams:
     levels: tuple[int, ...] = (2,)
@@ -121,6 +129,7 @@ class ThresholdParams:
             raise ValueError(f"unknown criterion {self.criterion!r}")
         if not self.levels:
             raise ValueError("no threshold levels configured")
+        _reject_repeats("threshold level", self.levels)
 
 
 @dataclass(frozen=True)
@@ -186,9 +195,11 @@ class RunConfig:
             raise ValueError("no datasets configured")
         if not self.seeds:
             raise ValueError("no seeds configured; seeds must be explicit")
-        names = [d.name for d in self.datasets]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate dataset names")
+        # a repeated entry would repeat its rows under the same CSV key
+        _reject_repeats("task", self.tasks)
+        _reject_repeats("entropy kind", self.kinds)
+        _reject_repeats("seed", self.seeds)
+        _reject_repeats("dataset name", [d.name for d in self.datasets])
 
 
 def parse_entropy(spec: str) -> EntropyKind:
@@ -203,16 +214,6 @@ def parse_entropy(spec: str) -> EntropyKind:
     if name == "tsallis":
         return EntropyKind.tsallis(float(param)) if param else EntropyKind.tsallis()
     raise ValueError(f"unknown entropy kind {name!r}")
-
-
-def _param_str(kind: EntropyKind | None) -> str:
-    if kind is None or kind.name == "shannon":
-        return "-"
-    return str(kind.param)
-
-
-def _entropy_label(kind: EntropyKind | None) -> str:
-    return "cross-entropy" if kind is None else kind.name
 
 
 def _parse_bool(value: str) -> bool:
@@ -338,6 +339,21 @@ def _load_dataset(spec: DatasetSpec, preprocess: bool) -> _Loaded:
     return _Loaded(spec.name, img, truth, ref, mov, t_true)
 
 
+def _rows(task: str, kind: EntropyKind | None, dataset: str, level: str,
+          seed: int, runtime_s: float, **metrics: float) -> list[ReportRow]:
+    """One cell's rows, one per metric in argument order.
+
+    A None kind is the cross-entropy rule; its param, like Shannon's,
+    prints as "-".
+    """
+    entropy = "cross-entropy" if kind is None else kind.name
+    param = "-" if kind is None or kind.name == "shannon" else str(kind.param)
+    return [ReportRow(task=task, entropy=entropy, param=param, dataset=dataset,
+                      level=level, metric=metric, value=value,
+                      runtime_s=runtime_s, seed=seed)
+            for metric, value in metrics.items()]
+
+
 def truth_point_mask(truth: np.ndarray, points_per_class: int,
                      seed: int) -> np.ndarray:
     """Seeded subsample of evaluation positions, n per true class."""
@@ -389,14 +405,11 @@ def run_threshold_cell(img, truth, kind: EntropyKind | None,
                                              budget=params.budget)
     labels = apply_thresholds(img, thresholds)
     elapsed = time.perf_counter() - t0
-    common = dict(task="threshold", entropy=_entropy_label(kind),
-                  param=_param_str(kind), dataset=dataset, level=str(level),
-                  runtime_s=elapsed, seed=seed)
+    cell = ("threshold", kind, dataset, str(level), seed, elapsed)
     if truth is None:
-        return [ReportRow(metric="criterion", value=value, **common)]
+        return _rows(*cell, criterion=value)
     kap, oa = _agreement(labels, truth, truth_points, seed)
-    return [ReportRow(metric="kappa", value=kap, **common),
-            ReportRow(metric="overall_accuracy", value=oa, **common)]
+    return _rows(*cell, kappa=kap, overall_accuracy=oa)
 
 
 def run_register_cell(ref, mov, t_true, kind: EntropyKind,
@@ -410,11 +423,8 @@ def run_register_cell(ref, mov, t_true, kind: EntropyKind,
     cfg = RegisterConfig(bins=params.bins, budget=params.budget,
                          restarts=params.restarts, seed=seed)
     res = register(ref, mov, kind, cfg, true_transform=t_true)
-    common = dict(task="register", entropy=_entropy_label(kind),
-                  param=_param_str(kind), dataset=dataset, level="-",
-                  runtime_s=res.runtime, seed=seed)
-    return [ReportRow(metric="nccc", value=max(res.nccc, 0.0), **common),
-            ReportRow(metric="rmse", value=res.rmse, **common)]
+    return _rows("register", kind, dataset, "-", seed, res.runtime,
+                 nccc=max(res.nccc, 0.0), rmse=res.rmse)
 
 
 def _auto_stride(shape) -> int:
@@ -451,7 +461,7 @@ def run_cluster_cell(img, truth, kind: EntropyKind, params: ClusterParams,
     t0 = time.perf_counter()
     xs = extract_features([img], stride)
     sigma = params.sigma if params.sigma else silverman_sigma(xs)
-    assignment, cef_val = cluster(xs, params.k, sigma, kind, seed=seed,
+    assignment, cef_val = cluster(xs, params.k, sigma, seed=seed,
                                   restarts=params.restarts)
     labelmap = assignment_to_labelmap(assignment, xs, img.shape)
     elapsed = time.perf_counter() - t0
@@ -459,90 +469,72 @@ def run_cluster_cell(img, truth, kind: EntropyKind, params: ClusterParams,
         score = cef_val
     else:
         score = _within_class_entropy(img, labelmap, kind)
-    common = dict(task="cluster", entropy=_entropy_label(kind),
-                  param=_param_str(kind), dataset=dataset,
-                  level=str(params.k), runtime_s=elapsed, seed=seed)
+    cell = ("cluster", kind, dataset, str(params.k), seed, elapsed)
     if truth is None:
-        return [ReportRow(metric="score", value=score, **common)]
+        return _rows(*cell, score=score)
     kap, oa = _agreement(labelmap, truth, truth_points, seed)
-    return [ReportRow(metric="kappa", value=kap, **common),
-            ReportRow(metric="overall_accuracy", value=oa, **common),
-            ReportRow(metric="score", value=score, **common)]
+    return _rows(*cell, kappa=kap, overall_accuracy=oa, score=score)
 
 
-def _error_row(task, kind, dataset, level, seed, elapsed) -> ReportRow:
-    return ReportRow(task=task, entropy=_entropy_label(kind),
-                     param=_param_str(kind), dataset=dataset, level=level,
-                     metric="error", value=float("nan"), runtime_s=elapsed,
-                     seed=seed)
+def _plan(cfg: RunConfig) -> list[tuple[str, EntropyKind | None, str, int]]:
+    """One dataset's cells as (task, kind, level, seed), in run order.
 
-
-def _threshold_kinds(cfg: RunConfig):
-    if cfg.threshold.criterion == "cross-entropy":
-        return (None,)  # the rule replaces the per-kind criterion
-    return cfg.kinds
+    The order is task, kind, seed, level.  The cross-entropy rule
+    replaces the per-kind threshold criterion, so its cells carry the
+    kind None.
+    """
+    cells = []
+    for task in cfg.tasks:
+        kinds = cfg.kinds
+        if task == "threshold":
+            if cfg.threshold.criterion == "cross-entropy":
+                kinds = (None,)
+            levels = [str(level) for level in cfg.threshold.levels]
+        else:
+            levels = ["-" if task == "register" else str(cfg.cluster.k)]
+        cells += [(task, kind, level, seed) for kind in kinds
+                  for seed in cfg.seeds for level in levels]
+    return cells
 
 
 def run_matrix(cfg: RunConfig) -> list[ReportRow]:
     """Execute the full task x kind x dataset x seed matrix.
 
-    Preprocessing runs once per dataset; every failing cell (or
-    unreadable dataset) contributes error rows without stopping the
-    rest.  Rows come back sorted by task, entropy, dataset, level,
-    metric, seed.  Metric values are a pure function of the config.
+    Preprocessing runs once per dataset.  A failing cell gives error
+    rows carrying its elapsed time; an unreadable dataset gives every
+    one of its cells an error row with runtime 0.  Neither stops the
+    rest.  Rows come back sorted by task, entropy, param, dataset,
+    level, metric, seed.  Metric values are a pure function of the
+    config.
     """
+    plan = _plan(cfg)
     rows: list[ReportRow] = []
     for spec in cfg.datasets:
         try:
             ds = _load_dataset(spec, cfg.preprocess)
         except Exception:
-            for task in cfg.tasks:
-                kinds = _threshold_kinds(cfg) if task == "threshold" else cfg.kinds
-                for kind in kinds:
-                    for seed in cfg.seeds:
-                        if task == "threshold":
-                            for level in cfg.threshold.levels:
-                                rows.append(_error_row(task, kind, spec.name,
-                                                       str(level), seed, 0.0))
-                        else:
-                            level = "-" if task == "register" else str(cfg.cluster.k)
-                            rows.append(_error_row(task, kind, spec.name,
-                                                   level, seed, 0.0))
-            continue
-        for task in cfg.tasks:
-            kinds = _threshold_kinds(cfg) if task == "threshold" else cfg.kinds
-            for kind in kinds:
-                for seed in cfg.seeds:
-                    if task == "threshold":
-                        for level in cfg.threshold.levels:
-                            t0 = time.perf_counter()
-                            try:
-                                rows.extend(run_threshold_cell(
-                                    ds.img, ds.truth, kind, cfg.threshold,
-                                    level, seed, ds.name, cfg.truth_points))
-                            except Exception:
-                                rows.append(_error_row(task, kind, ds.name,
-                                                       str(level), seed,
-                                                       time.perf_counter() - t0))
-                    elif task == "register":
-                        t0 = time.perf_counter()
-                        try:
-                            rows.extend(run_register_cell(
-                                ds.ref, ds.mov, ds.t_true, kind,
-                                cfg.register, seed, ds.name))
-                        except Exception:
-                            rows.append(_error_row(task, kind, ds.name, "-",
-                                                   seed, time.perf_counter() - t0))
-                    else:
-                        t0 = time.perf_counter()
-                        try:
-                            rows.extend(run_cluster_cell(
-                                ds.img, ds.truth, kind, cfg.cluster,
-                                seed, ds.name, cfg.truth_points))
-                        except Exception:
-                            rows.append(_error_row(task, kind, ds.name,
-                                                   str(cfg.cluster.k), seed,
-                                                   time.perf_counter() - t0))
+            ds = None
+        for task, kind, level, seed in plan:
+            t0 = time.perf_counter()
+            try:
+                if ds is None:
+                    raise ValueError(f"dataset {spec.name} is unreadable")
+                # cell functions are looked up at call time, so a
+                # replaced module attribute is the one that runs
+                if task == "threshold":
+                    rows += run_threshold_cell(
+                        ds.img, ds.truth, kind, cfg.threshold, int(level),
+                        seed, spec.name, cfg.truth_points)
+                elif task == "register":
+                    rows += run_register_cell(ds.ref, ds.mov, ds.t_true, kind,
+                                              cfg.register, seed, spec.name)
+                else:
+                    rows += run_cluster_cell(ds.img, ds.truth, kind, cfg.cluster,
+                                             seed, spec.name, cfg.truth_points)
+            except Exception:
+                elapsed = 0.0 if ds is None else time.perf_counter() - t0
+                rows += _rows(task, kind, spec.name, level, seed, elapsed,
+                              error=float("nan"))
     rows.sort(key=lambda r: (r.task, r.entropy, r.param, r.dataset,
                              r.level, r.metric, r.seed))
     return rows

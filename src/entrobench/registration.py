@@ -372,36 +372,31 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
             return val
         return objective
 
-    use_pyramid = min(r.shape) >= 64
     coarse_cap = (config.budget * 3) // 5
     per_start = max(20, coarse_cap // len(starts))
     best_stage = {"val": np.inf, "vec": None}
     best_full = {"val": np.inf, "vec": None}
 
-    if use_pyramid:
-        stage_obj = make_objective(_decimate(r), _decimate(m), coarse_cap, best_stage)
-        stage_starts = [x0 * np.array([0.5, 0.5, 1.0, 1.0]) for x0 in starts]
-        steps = (1.0, 1.0, 0.04, 0.04)
+    # with the pyramid the first stage runs at half resolution, so its
+    # shifts are halved and later doubled; both scalings are exact
+    if min(r.shape) >= 64:
+        ra, ma, zoom, steps = _decimate(r), _decimate(m), 0.5, (1.0, 1.0, 0.04, 0.04)
     else:
-        stage_obj = make_objective(r, m, coarse_cap, best_full)
-        stage_starts = starts
-        steps = (2.0, 2.0, 0.05, 0.05)
+        ra, ma, zoom, steps = r, m, 1.0, (2.0, 2.0, 0.05, 0.05)
+    stage_obj = make_objective(ra, ma, coarse_cap, best_stage)
     try:
-        for x0 in stage_starts:
+        for x0 in starts:
+            x0 = x0 * np.array([zoom, zoom, 1.0, 1.0])
             minimize(stage_obj, x0, method="Nelder-Mead",
                      options={"maxfev": per_start, "xatol": 1e-3, "fatol": 1e-7,
                               "initial_simplex": _simplex(x0, steps)})
     except _BudgetExhausted:
         pass
-
-    if use_pyramid:
-        if best_stage["vec"] is None:
-            raise ValueError("insufficient overlap at every restart")
-        x1 = best_stage["vec"] * np.array([2.0, 2.0, 1.0, 1.0])
-    else:
-        if best_full["vec"] is None:
-            raise ValueError("insufficient overlap at every restart")
-        x1 = best_full["vec"]
+    if best_stage["vec"] is None:
+        raise ValueError("insufficient overlap at every restart")
+    # refinement starts from the stage's best point, so it re-evaluates
+    # that point first and best_full starts from the stage's value
+    x1 = best_stage["vec"] * np.array([1.0 / zoom, 1.0 / zoom, 1.0, 1.0])
 
     refine_obj = make_objective(r, m, config.budget, best_full)
     try:

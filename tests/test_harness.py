@@ -1,10 +1,12 @@
 """Tests for the experiment-matrix runner and its CSV reporting."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from entrobench import harness
 from entrobench.entropy import SHANNON, EntropyKind, histogram
 from entrobench.harness import (CSV_HEADER, ClusterParams, DatasetSpec,
                                 RegisterParams, ReportRow, RunConfig,
@@ -102,6 +104,8 @@ def test_threshold_params_validation():
         ThresholdParams(criterion="otsu")
     with pytest.raises(ValueError):
         ThresholdParams(levels=())
+    with pytest.raises(ValueError, match="duplicate threshold level 2"):
+        ThresholdParams(levels=(2, 1, 2))
 
 
 def test_dataset_spec_validation():
@@ -127,6 +131,20 @@ def test_run_config_validation():
                 dict(datasets=(scene_ds(), scene_ds()))):
         with pytest.raises(ValueError):
             RunConfig(**{**ok, **bad})
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("tasks", ("threshold", "cluster", "threshold"), "task 'threshold'"),
+    ("kinds", (SHANNON, RENYI2, EntropyKind.renyi()), "entropy kind"),
+    ("seeds", (0, 3, 3), "seed 3"),
+    ("datasets", (scene_ds("a"), scene_ds("b"), scene_ds("a")),
+     "dataset name 'a'"),
+])
+def test_run_config_rejects_repeats(field, value, named):
+    ok = dict(tasks=("threshold",), kinds=(SHANNON,), datasets=(scene_ds(),),
+              seeds=(0,))
+    with pytest.raises(ValueError, match=f"duplicate {named}"):
+        RunConfig(**{**ok, field: value})
 
 
 # ------------------------------------------------------------------ parsing
@@ -241,6 +259,18 @@ def test_parse_config_full(tmp_path):
 def test_parse_config_rejects_malformed(tmp_path, mangle):
     with pytest.raises(ValueError):
         parse_config(write_config(tmp_path, mangle(MINIMAL)))
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("tasks = threshold", "tasks = threshold threshold", "task 'threshold'"),
+    ("renyi:2 tsallis:2", "renyi:2 tsallis:2 renyi", "entropy kind"),
+    ("seeds = 0 1", "seeds = 0 1 0", "seed 0"),
+    ("[datasets]\n", "[threshold]\nlevels = 3 3\n\n[datasets]\n",
+     "threshold level 3"),
+])
+def test_parse_config_rejects_repeats(tmp_path, old, new, named):
+    with pytest.raises(ValueError, match=f"duplicate {named}"):
+        parse_config(write_config(tmp_path, MINIMAL.replace(old, new)))
 
 
 def test_parse_config_file_dataset_defaults(tmp_path):
@@ -448,6 +478,81 @@ def test_run_matrix_isolates_bad_dataset():
     assert len(errors) == 6  # 3 kinds x 2 levels for the unreadable dataset
     assert all(r.dataset == "broken" and np.isnan(r.value) for r in errors)
     assert len(good) == 12 and all(r.dataset == "s1" for r in good)
+
+
+@pytest.mark.parametrize("criterion", ["max-entropy", "cross-entropy"])
+def test_run_matrix_unreadable_dataset_errors_every_cell(criterion):
+    bad = DatasetSpec(name="broken", source="file", img_path="missing.pgm")
+    cfg = matrix_config(tasks=("threshold", "register", "cluster"),
+                        kinds=(SHANNON, RENYI2), datasets=(bad,), seeds=(0, 3),
+                        threshold=ThresholdParams(levels=(1, 2),
+                                                  criterion=criterion),
+                        cluster=ClusterParams(k=4))
+    rows = run_matrix(cfg)
+    labels = [("shannon", "-"), ("renyi", "2.0")]
+    th = [("cross-entropy", "-")] if criterion == "cross-entropy" else labels
+    want = sorted(
+        [("threshold", e, p, lv, s) for e, p in th for s in (0, 3)
+         for lv in ("1", "2")]
+        + [("register", e, p, "-", s) for e, p in labels for s in (0, 3)]
+        + [("cluster", e, p, "4", s) for e, p in labels for s in (0, 3)])
+    assert [(r.task, r.entropy, r.param, r.level, r.seed) for r in rows] == want
+    assert all(r.metric == "error" and r.dataset == "broken"
+               and np.isnan(r.value) and r.runtime_s == 0.0 for r in rows)
+
+
+def test_run_matrix_failing_cell_errors_only_itself():
+    # 6x6 at stride 2 is 9 samples, under the 10 k clustering needs
+    tiny = DatasetSpec(name="tiny", source="scene", scene="two-region",
+                       width=6, height=6, noise=4.0, seed=1)
+    cfg = matrix_config(tasks=("threshold", "cluster"), kinds=(SHANNON, RENYI2),
+                        datasets=(tiny, scene_ds()),
+                        threshold=ThresholdParams(levels=(2,)),
+                        cluster=ClusterParams(k=5, stride=2, restarts=1))
+    rows = run_matrix(cfg)
+    errors = [r for r in rows if r.metric == "error"]
+    assert [(r.task, r.dataset, r.entropy) for r in errors] == \
+        [("cluster", "tiny", "renyi"), ("cluster", "tiny", "shannon")]
+    assert all(np.isnan(r.value) and r.runtime_s >= 0.0 for r in errors)
+
+    def values(rows):
+        return {(r.task, r.entropy, r.param, r.dataset, r.level, r.metric,
+                 r.seed): r.value for r in rows if r.metric != "error"}
+
+    alone = values(run_matrix(replace(cfg, datasets=(scene_ds(),))))
+    tiny_threshold = values(run_matrix(replace(cfg, tasks=("threshold",),
+                                               datasets=(tiny,))))
+    assert values(rows) == {**alone, **tiny_threshold}
+    assert len(tiny_threshold) == 4 and len(alone) == 10
+
+
+def test_run_matrix_calls_in_dataset_task_kind_seed_order(monkeypatch):
+    calls = []
+    register, paint = harness.register, harness.assignment_to_labelmap
+
+    def record_register(ref, mov, kind, config, **kw):
+        calls.append(("register", ref.shape, kind, config.seed))
+        return register(ref, mov, kind, config, **kw)
+
+    def record_paint(a, xs, dims):
+        calls.append(("paint", tuple(dims)))
+        return paint(a, xs, dims)
+
+    monkeypatch.setattr(harness, "register", record_register)
+    monkeypatch.setattr(harness, "assignment_to_labelmap", record_paint)
+    small = DatasetSpec(name="a", source="scene", scene="two-region",
+                        width=40, height=40, noise=4.0)
+    kinds, seeds = (TSALLIS2, SHANNON), (1, 0)
+    run_matrix(matrix_config(tasks=("cluster", "threshold", "register"),
+                             kinds=kinds, datasets=(scene_ds("b"), small),
+                             seeds=seeds,
+                             register=RegisterParams(budget=200, restarts=0),
+                             cluster=ClusterParams(k=2, stride=4, restarts=1)))
+    want = []
+    for shape in ((48, 48), (40, 40)):
+        want += [("paint", shape)] * 4
+        want += [("register", shape, k, s) for k in kinds for s in seeds]
+    assert calls == want
 
 
 def test_run_matrix_cross_entropy_collapses_kinds():
