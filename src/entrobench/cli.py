@@ -73,14 +73,11 @@ def _finish(rows, out) -> int:
 
 
 def _cmd_threshold(args, parser) -> int:
-    if args.bins != 256:
-        parser.error("thresholding always uses 256 bins")
     img = _maybe_filter(_load_pgm(args.image), args)
     truth = _load_pgm(args.truth) if args.truth else None
     kind = None if args.criterion == "cross-entropy" else args.kind
-    params = ThresholdParams(levels=(args.levels,), bins=args.bins,
-                             search=args.search, budget=args.budget,
-                             criterion=args.criterion)
+    params = ThresholdParams(levels=(args.levels,), search=args.search,
+                             budget=args.budget, criterion=args.criterion)
     rows = run_threshold_cell(img, truth, kind, params, args.levels,
                               args.seed, Path(args.image).stem,
                               args.truth_points or None)
@@ -169,16 +166,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", help="ground-truth label PGM")
     _add_entropy_flags(p)
     p.add_argument("--levels", type=int, default=2, help="threshold count")
-    p.add_argument("--bins", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=5000,
                    help="heuristic-search evaluation budget")
     p.add_argument("--search", choices=("exhaustive", "heuristic"),
                    default="exhaustive",
-                   help="exhaustive: exact for additive criteria at every "
-                        "level, exact Tsallis up to 3, the evolution "
-                        "strategy only for Tsallis at 4-5; heuristic: the "
-                        "evolution strategy at every level")
+                   help="exhaustive: the exact search wherever it is exact "
+                        "(additive criteria at every level, Tsallis up to "
+                        "3), the evolution strategy otherwise (Tsallis at "
+                        "4-5); heuristic: the evolution strategy at every "
+                        "level")
     p.add_argument("--criterion", choices=("max-entropy", "cross-entropy"),
                    default="max-entropy")
     p.add_argument("--truth-points", type=int, default=0,

@@ -29,8 +29,7 @@ from .metrics import align_labels, confusion, kappa, overall_accuracy
 from .raster import decode_pgm, median_filter_3x3
 from .registration import RegisterConfig, SimilarityTransform, register
 from .scenes import named_scene, scene_pair
-from .thresholding import (MAX_LEVELS_EXHAUSTIVE, Criterion, _exact_search,
-                           apply_thresholds, exhaustive_search,
+from .thresholding import (Criterion, apply_thresholds, exhaustive_search,
                            heuristic_search)
 
 __all__ = [
@@ -115,14 +114,11 @@ def _reject_repeats(what: str, values) -> None:
 @dataclass(frozen=True)
 class ThresholdParams:
     levels: tuple[int, ...] = (2,)
-    bins: int = 256
     search: str = "exhaustive"
     budget: int = 5000
     criterion: str = "max-entropy"
 
     def __post_init__(self):
-        if self.bins != 256:
-            raise ValueError("thresholding always uses 256 bins")
         if self.search not in ("exhaustive", "heuristic"):
             raise ValueError(f"unknown search {self.search!r}")
         if self.criterion not in ("max-entropy", "cross-entropy"):
@@ -256,12 +252,28 @@ def _parse_dataset(name: str, value: str) -> DatasetSpec:
     raise ValueError(f"dataset {name}: expected scene:<name> or file:<path>")
 
 
+# the keys each config section may hold, so a typo fails instead of
+# falling back to a default; [datasets] keys are dataset names
+_SECTION_KEYS = {
+    "run": {"tasks", "entropies", "seeds", "out", "preprocess", "truth_points"},
+    "threshold": {"levels", "search", "budget", "criterion"},
+    "register": {"bins", "budget", "restarts"},
+    "cluster": {"k", "stride", "restarts", "sigma"},
+}
+
+
 def parse_config(path) -> RunConfig:
     """Read a sectioned key = value config file into a RunConfig."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     text = Path(path).read_text(encoding="utf-8")
     cp.read_string(text, source=str(path))
+    for name in [n for n in cp.sections() if n != "datasets"]:
+        if name not in _SECTION_KEYS:
+            raise ValueError(f"config: unknown section [{name}]")
+        bad = set(cp[name]) - _SECTION_KEYS[name]
+        if bad:
+            raise ValueError(f"config [{name}]: unknown keys {sorted(bad)}")
     if "run" not in cp:
         raise ValueError("config missing [run] section")
     run = cp["run"]
@@ -282,7 +294,6 @@ def parse_config(path) -> RunConfig:
     th = section("threshold")
     thp = ThresholdParams(
         levels=tuple(int(x) for x in th.get("levels", "2").split()),
-        bins=int(th.get("bins", "256")),
         search=th.get("search", "exhaustive"),
         budget=int(th.get("budget", "5000")),
         criterion=th.get("criterion", "max-entropy"))
@@ -386,20 +397,17 @@ def run_threshold_cell(img, truth, kind: EntropyKind | None,
                        ) -> list[ReportRow]:
     """One thresholding cell: search, label, score against truth.
 
-    With ``search = exhaustive`` the search is exact for the additive
-    criteria at every level (``exhaustive_search`` up to 3 thresholds,
-    the same dynamic program beyond) and exact for Tsallis up to 3; the
-    evolution strategy runs only for Tsallis at levels 4-5.  With
-    ``search = heuristic`` it runs at every level.  Without ground truth
-    the cell reports the criterion value instead of agreement metrics.
+    With ``search = exhaustive`` the cell runs ``exhaustive_search``
+    where it is exact (``level <= crit.max_exact_level``) and the
+    evolution strategy elsewhere; with ``search = heuristic`` the
+    evolution strategy runs at every level.  Without ground truth the
+    cell reports the criterion value instead of agreement metrics.
     """
-    crit = Criterion.cross_entropy() if kind is None else Criterion(kind)
+    crit = Criterion(kind)
     t0 = time.perf_counter()
-    h = histogram(img, params.bins)
-    if params.search == "exhaustive" and level <= MAX_LEVELS_EXHAUSTIVE:
+    h = histogram(img)
+    if params.search == "exhaustive" and level <= crit.max_exact_level:
         thresholds, value = exhaustive_search(h, level, crit)
-    elif params.search == "exhaustive" and crit.is_additive:
-        thresholds, value = _exact_search(h, level, crit)
     else:
         thresholds, value = heuristic_search(h, level, crit, seed=seed,
                                              budget=params.budget)

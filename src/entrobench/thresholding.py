@@ -11,11 +11,11 @@ counts thresholds.  Two scoring rules are available:
   with mu_m the class intensity mean; lower is better, so searches
   negate it internally and always maximize.
 
-Exact search comes first: the additive criteria (Shannon, Renyi, cross
-entropy) are solved exactly at every level by a dynamic program over
-the class table, and Tsallis exactly up to k = 3 by enumerating tuples
-of occupied bins.  Both break ties toward the lexicographically
-smallest tuple.  ``exhaustive_search`` is that exact search for k <= 3;
+Exact search comes first: ``exhaustive_search`` is exact for k up to
+``Criterion.max_exact_level``.  The additive criteria (Shannon, Renyi,
+cross entropy) are solved at every level by a dynamic program over the
+class table, and Tsallis up to k = 3 by enumerating tuples of occupied
+bins.  Both break ties toward the lexicographically smallest tuple.
 ``heuristic_search`` is a seeded (mu + lambda) evolution strategy usable
 up to k = 5, needed only for Tsallis at k = 4-5, where no cheap exact
 method exists.
@@ -77,6 +77,11 @@ class Criterion:
     def is_additive(self) -> bool:
         """True when the tuple score is a plain sum of class terms."""
         return self.kind is None or self.kind.name != "tsallis"
+
+    @property
+    def max_exact_level(self) -> int:
+        """Largest threshold count ``exhaustive_search`` solves exactly."""
+        return MAX_LEVELS if self.is_additive else MAX_LEVELS_EXHAUSTIVE
 
     @property
     def label(self) -> str:
@@ -255,68 +260,60 @@ def _tsallis_enumerate(table, omq, cand: np.ndarray, k: int) -> tuple[int, ...]:
     if k == 1:
         tot = first + last + omq * first * last
         return (int(cand[np.argmax(tot)]),)
+    best_val, best = -np.inf, None
+    # a prefix fixes the thresholds before the last two: none for k = 2,
+    # t1 = cand[i] for k = 3; ``a`` is the first candidate left for t_{k-1}.
+    # Blocks keep row-major order, so ties stay lexicographic
     if k == 2:
-        S = first[:, None] + mid + last[None, :]
-        P = first[:, None] * mid * last[None, :]
-        tot = np.where(np.triu(np.ones((n, n), dtype=bool), 1), S + omq * P, -np.inf)
-        i, j = divmod(int(np.argmax(tot)), n)
-        return (int(cand[i]), int(cand[j]))
-    best_val = -np.inf
-    best = None
-    # for each t1 = cand[i], t2 = cand[j] and t3 = cand[l] with i < j < l;
-    # the (j, l) block keeps row-major order, so ties stay lexicographic
+        prefixes = [((), 0.0, 1.0, first, 0)]
+    else:
+        prefixes = [((i,), first[i], first[i], mid[i], i + 1) for i in range(n - 2)]
     upper = np.triu(np.ones((n, n), dtype=bool))
-    for i in range(n - 2):
-        s1 = first[i]
-        second = mid[i, i + 1:n - 1]
-        m = mid[i + 1:n - 1, i + 2:]
-        end = last[i + 2:]
-        S = s1 + second[:, None] + m + end[None, :]
-        P = s1 * second[:, None] * m * end[None, :]
-        tot = np.where(upper[:n - i - 2, :n - i - 2], S + omq * P, -np.inf)
+    for pre, s0, p0, row, a in prefixes:
+        head = row[a:n - 1]
+        body = mid[a:n - 1, a + 1:]
+        end = last[a + 1:]
+        S = s0 + head[:, None] + body + end[None, :]
+        P = p0 * head[:, None] * body * end[None, :]
+        tot = np.where(upper[:n - 1 - a, :n - 1 - a], S + omq * P, -np.inf)
         flat = int(np.argmax(tot))
         val = tot.flat[flat]
         if val > best_val:
             j, l = divmod(flat, tot.shape[1])
             best_val = val
-            best = (int(cand[i]), int(cand[i + 1 + j]), int(cand[i + 2 + l]))
-    return best
+            best = pre + (a + j, a + 1 + l)
+    return tuple(int(cand[x]) for x in best)
 
 
-def _exact_search(hist, k: int, criterion: Criterion) -> tuple[tuple[int, ...], float]:
-    """Globally optimal threshold tuple by exact search.
-
-    Additive criteria take the DP at any k <= MAX_LEVELS; Tsallis takes
-    the occupied-bin enumeration at k <= MAX_LEVELS_EXHAUSTIVE.  Ties
-    resolve to the lexicographically smallest tuple.  Raises when the
-    histogram occupies fewer than k + 1 bins (no valid tuple).
-    """
+def _prepare(hist, k: int, top: int, criterion: Criterion):
+    """Check the histogram, 1 <= k <= ``top`` and that k + 1 bins are
+    occupied; return (h, occupied bins) + ``_class_table``."""
     h = _check_hist(hist)
-    top = MAX_LEVELS if criterion.is_additive else MAX_LEVELS_EXHAUSTIVE
     if not 1 <= k <= top:
         raise ValueError(f"k {k} outside [1, {top}]")
     occupied = np.flatnonzero(h)
     if occupied.size < k + 1:
         raise ValueError(f"no valid tuple: {occupied.size} occupied bins "
                          f"cannot fill {k + 1} classes")
-    table, valid, omq = _class_table(h, criterion)
+    return (h, occupied) + _class_table(h, criterion)
+
+
+def exhaustive_search(hist, k: int,
+                      criterion: Criterion = Criterion()) -> tuple[tuple[int, ...], float]:
+    """Globally optimal threshold tuple by exact search.
+
+    Exact for 1 <= k <= ``criterion.max_exact_level``: additive criteria
+    take the DP, Tsallis the occupied-bin enumeration.  Ties resolve to
+    the lexicographically smallest tuple.  Raises for any other k and
+    when the histogram occupies fewer than k + 1 bins (no valid tuple).
+    """
+    h, occupied, table, valid, omq = _prepare(hist, k, criterion.max_exact_level,
+                                              criterion)
     if omq is None:
         t = _dp_additive(np.where(valid, table, -np.inf), k)
     else:
         t = _tsallis_enumerate(table, omq, occupied[:-1], k)
     return t, criterion_value(h, t, criterion)
-
-
-def exhaustive_search(hist, k: int,
-                      criterion: Criterion = Criterion()) -> tuple[tuple[int, ...], float]:
-    """Globally optimal threshold tuple by exact search (k <= 3).
-
-    Ties resolve to the lexicographically smallest tuple.  Raises when
-    the histogram occupies fewer than k + 1 bins (no valid tuple).
-    """
-    if not 1 <= k <= MAX_LEVELS_EXHAUSTIVE:
-        raise ValueError(f"k {k} outside [1, {MAX_LEVELS_EXHAUSTIVE}]")
-    return _exact_search(hist, k, criterion)
 
 
 def _batch_scores(table, valid, omq, cand: np.ndarray) -> np.ndarray:
@@ -381,18 +378,12 @@ def heuristic_search(hist, k: int, criterion: Criterion = Criterion(),
     Deterministic for fixed inputs and seed; the result never exceeds
     the exhaustive optimum and is always a valid tuple.
     """
-    h = _check_hist(hist)
+    h, _, table, valid, omq = _prepare(hist, k, MAX_LEVELS, criterion)
     B = h.size
-    if not 1 <= k <= MAX_LEVELS:
-        raise ValueError(f"k {k} outside [1, {MAX_LEVELS}]")
     if population < 2:
         raise ValueError("population must be at least 2")
     if budget < 50 * k:
         raise ValueError(f"budget {budget} below minimum {50 * k}")
-    if np.count_nonzero(h) < k + 1:
-        raise ValueError(f"no valid tuple: {np.count_nonzero(h)} occupied bins "
-                         f"cannot fill {k + 1} classes")
-    table, valid, omq = _class_table(h, criterion)
     rng = np.random.default_rng(seed)
     budget_es = budget - min(budget // 10, 30 * k)
     phases = max(1, min(3, budget_es // (4 * population)))

@@ -97,8 +97,6 @@ def test_emit_csv_rejects_empty(tmp_path):
 
 def test_threshold_params_validation():
     with pytest.raises(ValueError):
-        ThresholdParams(bins=128)
-    with pytest.raises(ValueError):
         ThresholdParams(search="random")
     with pytest.raises(ValueError):
         ThresholdParams(criterion="otsu")
@@ -255,10 +253,27 @@ def test_parse_config_full(tmp_path):
     lambda t: t.replace("width=64", "width"),
     lambda t: t.replace("tasks = threshold", "tasks = threshold paint"),
     lambda t: t.replace("[run]\n", "[run]\npreprocess = maybe\n"),
+    lambda t: t.replace("[datasets]", "[register]\nbudjet = 400\n\n[datasets]"),
+    lambda t: t.replace("seeds = 0 1\n", "seeds = 0 1\nsede = 4\n"),
+    lambda t: t.replace("[datasets]", "[clustr]\nk = 4\n\n[datasets]"),
 ])
 def test_parse_config_rejects_malformed(tmp_path, mangle):
     with pytest.raises(ValueError):
         parse_config(write_config(tmp_path, mangle(MINIMAL)))
+
+
+def test_parse_config_names_unknown_sections_and_keys(tmp_path):
+    for old, new, named in [
+            ("[datasets]", "[register]\nbudjet = 400\n\n[datasets]",
+             r"\[register\]: unknown keys \['budjet'\]"),
+            ("seeds = 0 1\n", "seeds = 0 1\nsede = 4\n",
+             r"\[run\]: unknown keys \['sede'\]"),
+            ("[datasets]", "[threshold]\nbins = 256\n\n[datasets]",
+             r"\[threshold\]: unknown keys \['bins'\]"),
+            ("[datasets]", "[clustr]\nk = 4\n\n[datasets]",
+             r"unknown section \[clustr\]")]:
+        with pytest.raises(ValueError, match=named):
+            parse_config(write_config(tmp_path, MINIMAL.replace(old, new)))
 
 
 @pytest.mark.parametrize("old, new, named", [
@@ -390,6 +405,34 @@ def test_run_threshold_cell_tsallis_high_level_uses_heuristic(level):
     _, expected = heuristic_search(histogram(img), level, Criterion(TSALLIS2),
                                    seed=3, budget=1500)
     assert rows[0].value == expected
+
+
+def test_run_threshold_cell_runs_exact_search_exactly_where_it_is_exact(
+        monkeypatch):
+    calls = []
+
+    def recorder(name, search):
+        def record(h, level, crit, **kw):
+            calls.append((name, level, crit))
+            return search(h, level, crit, **kw)
+        return record
+
+    monkeypatch.setattr(harness, "exhaustive_search",
+                        recorder("exact", exhaustive_search))
+    monkeypatch.setattr(harness, "heuristic_search",
+                        recorder("es", heuristic_search))
+    img = small_support_image()
+    kinds = (SHANNON, RENYI2, TSALLIS2, None)
+    assert [Criterion(k).max_exact_level for k in kinds] == [5, 5, 3, 5]
+    for kind, search, level in itertools.product(
+            kinds, ("exhaustive", "heuristic"), range(1, 6)):
+        crit = Criterion(kind)
+        calls.clear()
+        run_threshold_cell(img, None, kind,
+                           ThresholdParams(search=search, budget=250),
+                           level, 0, "d")
+        exact = search == "exhaustive" and level <= crit.max_exact_level
+        assert calls == [("exact" if exact else "es", level, crit)]
 
 
 def test_run_threshold_cell_heuristic_search_at_level_4():

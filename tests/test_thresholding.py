@@ -198,12 +198,32 @@ def test_exhaustive_matches_brute_force_k3():
         assert t == bt
 
 
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("criterion", [SHANNON_C, RENYI_C, CROSS_C],
+                         ids=["shannon", "renyi", "cross-entropy"])
+def test_exhaustive_additive_high_levels_match_brute_force(k, criterion):
+    rng = np.random.default_rng(60 + k)
+    h = rng.integers(1, 40, 16)
+    h[rng.choice(16, size=4, replace=False)] = 0
+    t, v = exhaustive_search(h, k, criterion)
+    bt, bv = brute_force(h, k, criterion)
+    assert t == bt
+    signed = -v if criterion.is_cross_entropy else v
+    assert signed == pytest.approx(bv, abs=1e-12)
+
+
 def test_exhaustive_errors():
     h = spikes([10, 20], [1, 1])
     with pytest.raises(ValueError):
         exhaustive_search(h, 2, SHANNON_C)  # only 2 occupied bins
-    with pytest.raises(ValueError):
-        exhaustive_search(mixture_hist(np.random.default_rng(0)), 4, SHANNON_C)
+    h = mixture_hist(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="k 4 outside"):
+        exhaustive_search(h, 4, TSALLIS_C)
+    for c in ALL_CRITERIA:
+        with pytest.raises(ValueError, match="k 6 outside"):
+            exhaustive_search(h, 6, c)
+        with pytest.raises(ValueError, match="k 0 outside"):
+            exhaustive_search(h, 0, c)
     with pytest.raises(ValueError):
         exhaustive_search(np.zeros(256), 1, SHANNON_C)
 
