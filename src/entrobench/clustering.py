@@ -20,6 +20,12 @@ kernel mass per (distinct row, cluster), and the CEF is
 C^T K C over the u x k count matrix C.  No n x n array over samples is
 formed.  Inputs whose u x u kernel would exceed _MAX_KERNEL_BYTES are
 refused with a ValueError before it is allocated.
+
+``assignment_to_labelmap`` paints every unsampled pixel with the label
+of its nearest sample, ties to the smallest label, from one exact
+Euclidean distance transform per label (Maurer, Qi and Raghavan 2003,
+as scipy.ndimage implements it), so ties are exact for any number of
+equidistant samples.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.ndimage import distance_transform_edt
 from scipy.spatial.distance import cdist
 
 from .entropy import EntropyKind
@@ -225,6 +231,18 @@ def _cef_from_state(W: np.ndarray, counts: np.ndarray) -> float:
     return float((W / np.outer(counts, counts))[iu].sum())
 
 
+def _sum(terms: list[float]) -> float:
+    """Sum of at most 8 floats in the order numpy's float64 ``sum`` uses:
+    left to right below 8 terms, a fixed pairwise tree at 8."""
+    if len(terms) < 8:
+        total = 0.0
+        for t in terms:
+            total += t
+        return total
+    a, b, c, d, e, f, g, h = terms
+    return ((a + b) + (c + d)) + ((e + f) + (g + h))
+
+
 def _descend(K: np.ndarray, inv: np.ndarray, labels: np.ndarray, k: int
              ) -> tuple[np.ndarray, list[float]]:
     """Greedy single-sample CEF descent; returns labels and pass trace.
@@ -233,65 +251,96 @@ def _descend(K: np.ndarray, inv: np.ndarray, labels: np.ndarray, k: int
     sample i.  Samples are visited in index order; a move's delta
     depends only on the sample's (row, label) pair and the state, so a
     pair found not to improve is skipped until the next move.
+
+    S stays a u x k array; W and counts are Python lists, and 1/counts
+    and W @ (1/counts) are refreshed only after a move.  S[v] @ (1/counts)
+    and W @ (1/counts) go through numpy (BLAS) and the sums over
+    clusters through ``_sum``, so each delta equals, to the bit, the one
+    numpy array arithmetic on the same state gives; the tests keep that
+    array version as their oracle.
     """
-    n = labels.size
     C = _value_counts(inv, labels, K.shape[0], k)
     S = K @ C                    # S[v, c] = sum of K[v, inv[j]] over j in c
     W = C.T @ S                  # within/between kernel mass per pair
     counts = np.bincount(labels, minlength=k).astype(np.float64)
-    rows = inv.tolist()
     trace = [_cef_from_state(W, counts)]
+    W = W.tolist()
+    counts = counts.tolist()
+    rows = inv.tolist()
+    lab = labels.tolist()
+    ks = range(k)
+
+    def state_terms():
+        invn = [1.0 / x for x in counts]
+        invn_v = np.array(invn)
+        wi = (np.array(W) @ invn_v).tolist()
+        return invn_v, invn, wi, [W[c][c] for c in ks]
+
+    invn_v, invn, wi, diag = state_terms()
     for _ in range(_MAX_PASSES):
         moved = False
         stale = set()            # (row, label) pairs with no improving move
-        for i in range(n):
-            v = rows[i]
-            a = labels[i]
+        for i, v in enumerate(rows):
+            a = lab[i]
             if (v, a) in stale or counts[a] <= 1:
                 continue
-            Si = S[v]
-            invn = 1.0 / counts
-            na1 = counts[a] - 1.0
-            nb1 = counts + 1.0
+            Sv = S[v]
+            Si = Sv.tolist()
+            s = float(Sv @ invn_v)
             Wa = W[a]
-            wi = W @ invn
-            diag = W.diagonal()
+            ia = invn[a]
+            sa = Si[a]
+            na1 = counts[a] - 1.0
             # pairs (a, c) after the move, summed over c outside {a, b}
-            p = float(((Wa - Si) * invn).sum() - (Wa[a] - Si[a]) * invn[a])
-            part_a = (p - (Wa - Si) * invn) / na1 \
-                + (Wa - Si + Si[a] - 1.0) / (na1 * nb1)
-            # pairs (b, c) after the move, c outside {a, b}
-            q = wi + float(Si @ invn) \
-                - (Wa + Si[a]) * invn[a] - (diag + Si) * invn
-            part_b = q / nb1
-            # same pairs before the move
-            olda = float((Wa * invn).sum() - Wa[a] * invn[a]) * invn[a]
-            oldb = (wi - Wa * invn[a] - diag * invn) * invn
-            delta = part_a + part_b - olda - oldb
-            delta[a] = np.inf
-            b = int(np.argmin(delta))
-            if delta[b] < -_MOVE_TOL:
-                W[a, :] -= Si
-                W[:, a] -= Si
-                W[a, a] += 1.0
-                sib = Si.copy()
-                sib[a] -= 1.0
-                W[b, :] += sib
-                W[:, b] += sib
-                W[b, b] += 1.0
+            p = _sum([(Wa[c] - Si[c]) * invn[c] for c in ks]) \
+                - (Wa[a] - sa) * ia
+            # pairs (a, c) before the move
+            olda = (_sum([Wa[c] * invn[c] for c in ks]) - Wa[a] * ia) * ia
+            best = np.inf
+            b = a
+            for c in ks:
+                if c == a:
+                    continue
+                ic = invn[c]
+                nb1 = counts[c] + 1.0
+                ws = Wa[c] - Si[c]
+                part_a = (p - ws * ic) / na1 + (ws + sa - 1.0) / (na1 * nb1)
+                # pairs (b, c) after the move, c outside {a, b}
+                part_b = (wi[c] + s - (Wa[c] + sa) * ia
+                          - (diag[c] + Si[c]) * ic) / nb1
+                # same pairs before the move
+                oldb = (wi[c] - Wa[c] * ia - diag[c] * ic) * ic
+                delta = part_a + part_b - olda - oldb
+                if delta < best:
+                    best = delta
+                    b = c
+            if best < -_MOVE_TOL:
+                # row then column, so W[a][a] and W[b][b] get their
+                # updates in the same order as whole-row, whole-column ops
+                Wb = W[b]
+                for c in ks:
+                    Wa[c] -= Si[c]
+                    W[c][a] -= Si[c]
+                Wa[a] += 1.0
+                Si[a] -= 1.0
+                for c in ks:
+                    Wb[c] += Si[c]
+                    W[c][b] += Si[c]
+                Wb[b] += 1.0
                 S[:, a] -= K[:, v]
                 S[:, b] += K[:, v]
                 counts[a] -= 1.0
                 counts[b] += 1.0
-                labels[i] = b
+                lab[i] = b
                 moved = True
                 stale.clear()
+                invn_v, invn, wi, diag = state_terms()
             else:
                 stale.add((v, a))
-        trace.append(_cef_from_state(W, counts))
+        trace.append(_cef_from_state(np.array(W), np.array(counts)))
         if not moved:
             break
-    return labels, trace
+    return np.array(lab, dtype=np.int64), trace
 
 
 def cluster(xs: FeatureSet, k: int, sigma: float | None = None,
@@ -348,26 +397,28 @@ def cluster(xs: FeatureSet, k: int, sigma: float | None = None,
 def assignment_to_labelmap(a: ClusterAssignment, xs: FeatureSet, dims) -> np.ndarray:
     """Paint cluster labels back onto an (h, w) raster.
 
-    Sampled pixels take their own label; every other pixel takes the
-    label of the nearest sampled pixel, ties to the smallest label.
+    Sampled pixels take their own label (the last sample wins where
+    several share a pixel); every other pixel takes the label of the
+    nearest sampled pixel, ties to the smallest label.  The distance to
+    each label is one exact Euclidean distance transform, so ties are
+    exact however many samples are equidistant.
     """
     h, w = int(dims[0]), int(dims[1])
     lab = np.asarray(a.labels)
     if lab.size != xs.n:
         raise ValueError("assignment does not cover the feature set")
     coords = xs.coords
-    if coords[:, 0].max() >= h or coords[:, 1].max() >= w:
+    if (coords.min() < 0 or coords[:, 0].max() >= h
+            or coords[:, 1].max() >= w):
         raise ValueError(f"provenance outside a {h}x{w} raster")
-    out = np.full((h, w), -1, dtype=np.int64)
+    out = np.zeros((h, w), dtype=np.uint8)
+    nearest = np.full((h, w), np.inf)
+    for c in range(a.k):
+        free = np.ones((h, w), dtype=bool)
+        free[coords[lab == c, 0], coords[lab == c, 1]] = False
+        dist = distance_transform_edt(free)
+        closer = dist < nearest
+        out[closer] = c
+        np.minimum(nearest, dist, out=nearest)
     out[coords[:, 0], coords[:, 1]] = lab
-    missing = np.argwhere(out < 0)
-    if missing.size:
-        tree = cKDTree(coords)
-        kq = min(8, xs.n)
-        dist, idx = tree.query(missing, k=kq)
-        if kq == 1:
-            dist, idx = dist[:, None], idx[:, None]
-        near = dist <= dist[:, :1] + 1e-9
-        cand = np.where(near, lab[idx], _MAX_K + 1)
-        out[missing[:, 0], missing[:, 1]] = cand.min(axis=1)
-    return out.astype(np.uint8)
+    return out

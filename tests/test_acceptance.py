@@ -223,7 +223,7 @@ def test_threshold_search_oracle_equivalence():
 def _threshold_kappa(img, truth, kind, level, seed):
     crit = Criterion.max_entropy(kind)
     h = histogram(img)
-    if level <= 3:
+    if level <= crit.max_exact_level:  # the path run_threshold_cell takes
         t, _ = exhaustive_search(h, level, crit)
     else:
         t, _ = heuristic_search(h, level, crit, seed=seed)

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from entrobench import clustering
 from entrobench.clustering import (
+    _MAX_PASSES,
+    _MOVE_TOL,
     ClusterAssignment,
     FeatureSet,
     assignment_to_labelmap,
@@ -13,6 +16,8 @@ from entrobench.clustering import (
     information_potential,
     renyi_quadratic_entropy,
     silverman_sigma,
+    _cef_from_state,
+    _value_counts,
 )
 from entrobench.entropy import EntropyKind
 from entrobench.metrics import align_labels, confusion, kappa
@@ -372,6 +377,109 @@ def test_cluster_matches_reference_descent(d, k, seed):
         brute_cef(runs[best][0], f, silverman_sigma(xs), k), abs=1e-12)
 
 
+# The same descent in numpy array arithmetic, kept as the oracle that
+# clustering._descend must match bit for bit.
+def numpy_descend(K, inv, labels, k):
+    """Greedy single-sample CEF descent; returns labels and pass trace.
+
+    K is the kernel over distinct feature rows and inv[i] the row of
+    sample i.  Samples are visited in index order; a move's delta
+    depends only on the sample's (row, label) pair and the state, so a
+    pair found not to improve is skipped until the next move.
+    """
+    n = labels.size
+    C = _value_counts(inv, labels, K.shape[0], k)
+    S = K @ C                    # S[v, c] = sum of K[v, inv[j]] over j in c
+    W = C.T @ S                  # within/between kernel mass per pair
+    counts = np.bincount(labels, minlength=k).astype(np.float64)
+    rows = inv.tolist()
+    trace = [_cef_from_state(W, counts)]
+    for _ in range(_MAX_PASSES):
+        moved = False
+        stale = set()            # (row, label) pairs with no improving move
+        for i in range(n):
+            v = rows[i]
+            a = labels[i]
+            if (v, a) in stale or counts[a] <= 1:
+                continue
+            Si = S[v]
+            invn = 1.0 / counts
+            na1 = counts[a] - 1.0
+            nb1 = counts + 1.0
+            Wa = W[a]
+            wi = W @ invn
+            diag = W.diagonal()
+            # pairs (a, c) after the move, summed over c outside {a, b}
+            p = float(((Wa - Si) * invn).sum() - (Wa[a] - Si[a]) * invn[a])
+            part_a = (p - (Wa - Si) * invn) / na1 \
+                + (Wa - Si + Si[a] - 1.0) / (na1 * nb1)
+            # pairs (b, c) after the move, c outside {a, b}
+            q = wi + float(Si @ invn) \
+                - (Wa + Si[a]) * invn[a] - (diag + Si) * invn
+            part_b = q / nb1
+            # same pairs before the move
+            olda = float((Wa * invn).sum() - Wa[a] * invn[a]) * invn[a]
+            oldb = (wi - Wa * invn[a] - diag * invn) * invn
+            delta = part_a + part_b - olda - oldb
+            delta[a] = np.inf
+            b = int(np.argmin(delta))
+            if delta[b] < -_MOVE_TOL:
+                W[a, :] -= Si
+                W[:, a] -= Si
+                W[a, a] += 1.0
+                sib = Si.copy()
+                sib[a] -= 1.0
+                W[b, :] += sib
+                W[:, b] += sib
+                W[b, b] += 1.0
+                S[:, a] -= K[:, v]
+                S[:, b] += K[:, v]
+                counts[a] -= 1.0
+                counts[b] += 1.0
+                labels[i] = b
+                moved = True
+                stale.clear()
+            else:
+                stale.add((v, a))
+        trace.append(_cef_from_state(W, counts))
+        if not moved:
+            break
+    return labels, trace
+
+
+def assert_same_descent(xs, k, seed, monkeypatch):
+    """cluster() gives the same labels, traces and CEF, bit for bit,
+    with its descent and with the array-state oracle above."""
+    trace = {}
+    a, value = cluster(xs, k, seed=seed, trace=trace)
+    with monkeypatch.context() as m:
+        m.setattr(clustering, "_descend", numpy_descend)
+        ref_trace = {}
+        ref, ref_value = cluster(xs, k, seed=seed, trace=ref_trace)
+    assert a.labels.tolist() == ref.labels.tolist()
+    assert trace == ref_trace
+    assert value == ref_value
+
+
+@pytest.mark.parametrize("d,k,rows", [
+    (d, k, rows) for d in (1, 2, 3) for k in range(2, 9)
+    for rows in ("repeated", "random")])
+def test_descent_matches_array_state_oracle_exactly(d, k, rows, monkeypatch):
+    seed = 100 * d + k
+    if rows == "repeated":
+        f = repeated_values(20 * k, d, 6 if d == 1 else 3, seed)
+    else:
+        f = np.random.default_rng(seed).random((20 * k, d))
+    assert_same_descent(FeatureSet(f, grid_coords(f.shape[0])), k, seed,
+                        monkeypatch)
+
+
+def test_descent_matches_array_state_oracle_on_scene(monkeypatch):
+    img, _ = generate_scene(
+        five_region_spec(width=128, height=128, noise=8.0), seed=4)
+    assert_same_descent(extract_features([img], stride=4), 5, 0, monkeypatch)
+
+
 def test_kernel_memory_guard():
     """A distinct-row kernel over the limit is refused before allocation."""
     i = np.arange(12000)
@@ -440,3 +548,53 @@ def test_labelmap_truth_reconstruction_interior():
         interior &= truth == shifted
     match = (out == truth)[interior].mean()
     assert match >= 0.95
+
+
+def brute_labelmap(labels, coords, dims):
+    """Nearest sample by integer squared distance over every sample,
+    ties to the smallest label; sampled pixels keep the last write."""
+    rr, cc = np.indices(dims)
+    d2 = ((rr[..., None] - coords[:, 0]) ** 2
+          + (cc[..., None] - coords[:, 1]) ** 2)
+    near = d2 == d2.min(axis=2, keepdims=True)
+    out = np.where(near, labels, clustering._MAX_K).min(axis=2)
+    for (r, c), lab in zip(coords, labels):
+        out[r, c] = lab
+    return out
+
+
+@pytest.mark.parametrize("zero_at", range(12))
+def test_labelmap_tie_among_twelve_equidistant_samples(zero_at):
+    """Twelve samples on the lattice circle of radius 5 around the centre
+    of a 13x13 raster: the centre takes label 0 wherever it sits."""
+    ring = [(3, 4), (3, -4), (-3, 4), (-3, -4), (4, 3), (4, -3), (-4, 3),
+            (-4, -3), (0, 5), (0, -5), (5, 0), (-5, 0)]
+    coords = np.array([(6 + dr, 6 + dc) for dr, dc in ring])
+    labels = np.array([1 + j % 4 for j in range(12)])
+    labels[zero_at] = 0
+    xs = FeatureSet(np.linspace(0.0, 1.0, 12)[:, None], coords)
+    out = assignment_to_labelmap(ClusterAssignment(labels, 5), xs, (13, 13))
+    assert out[6, 6] == 0
+    np.testing.assert_array_equal(out, brute_labelmap(labels, coords, (13, 13)))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_labelmap_matches_brute_force(k):
+    """Random sample positions (some shared) and random labels."""
+    rng = np.random.default_rng(k)
+    for _ in range(4):
+        h, w = rng.integers(3, 30, 2)
+        n = int(rng.integers(k, min(3 * k + 20, h * w) + 1))
+        flat = rng.integers(0, h * w, n)
+        coords = np.stack(np.divmod(flat, w), axis=1)
+        labels = rng.permutation(np.arange(n) % k)
+        xs = FeatureSet(rng.random((n, 1)), coords)
+        out = assignment_to_labelmap(ClusterAssignment(labels, k), xs, (h, w))
+        assert out.dtype == np.uint8
+        np.testing.assert_array_equal(out, brute_labelmap(labels, coords, (h, w)))
+
+
+def test_labelmap_rejects_negative_provenance():
+    xs = FeatureSet(np.array([[0.0], [1.0]]), np.array([[0, 0], [-1, 2]]))
+    with pytest.raises(ValueError, match="provenance outside a 3x3 raster"):
+        assignment_to_labelmap(ClusterAssignment(np.array([0, 1]), 2), xs, (3, 3))

@@ -15,10 +15,12 @@ from entrobench.harness import (CSV_HEADER, ClusterParams, DatasetSpec,
                                 run_matrix, run_register_cell,
                                 run_threshold_cell, runtime_category,
                                 truth_point_mask)
+from entrobench.metrics import align_labels, confusion, kappa
 from entrobench.raster import median_filter_3x3
 from entrobench.scenes import named_scene
-from entrobench.thresholding import (Criterion, criterion_value,
-                                     exhaustive_search, heuristic_search)
+from entrobench.thresholding import (Criterion, apply_thresholds,
+                                     criterion_value, exhaustive_search,
+                                     heuristic_search)
 
 RENYI2 = EntropyKind.renyi(2.0)
 TSALLIS2 = EntropyKind.tsallis(2.0)
@@ -353,11 +355,14 @@ def test_run_threshold_cell_heuristic_path_matches_exhaustive():
     assert rows[0].value == pytest.approx(expected, abs=1e-9)
 
 
-def test_run_threshold_cell_high_level_falls_back_to_heuristic():
+def test_run_threshold_cell_additive_level_4_scores_exact_tuple():
     img, truth = small_scene("five-region", 64, 6.0)
     rows = run_threshold_cell(img, truth, SHANNON,
                               ThresholdParams(budget=1500), 4, 0, "d")
-    assert rows[0].metric == "kappa" and np.isfinite(rows[0].value)
+    t, _ = exhaustive_search(histogram(img), 4, Criterion(SHANNON))
+    pred = align_labels(apply_thresholds(img, t), truth)
+    assert rows[0].metric == "kappa"
+    assert rows[0].value == kappa(confusion(pred, truth))
 
 
 def small_support_image():

@@ -407,7 +407,7 @@ def test_rising_limb_on_zero_noise_scene():
     h = np.bincount(img.ravel(), minlength=256).astype(np.int64)
     kappas = []
     for k in (1, 2, 3, 4):
-        if k <= 3:
+        if k <= SHANNON_C.max_exact_level:
             t, _ = exhaustive_search(h, k, SHANNON_C)
         else:
             t, _ = heuristic_search(h, k, SHANNON_C, seed=0)
