@@ -121,6 +121,8 @@ def normalize(hist) -> np.ndarray:
     h = np.asarray(hist, dtype=np.float64)
     if h.ndim != 1 or h.size == 0:
         raise ValueError("expected a 1-D histogram")
+    if not np.isfinite(h).all():
+        raise ValueError("non-finite counts")
     if (h < 0).any():
         raise ValueError("negative counts")
     total = h.sum()

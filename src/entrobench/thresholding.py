@@ -11,6 +11,13 @@ counts thresholds.  Two scoring rules are available:
   with mu_m the class intensity mean; lower is better, so searches
   negate it internally and always maximize.
 
+Every search reads one class table built over the occupied bins only:
+its cell [a, b] scores the class running from the a-th to the b-th
+occupied bin.  Empty bins add exact zeros to every prefix sum, so each
+cell has the bits of the full-grid cell for any interval holding the
+same occupied bins, and a threshold anywhere in a run of empty bins
+splits off the same classes as the occupied bin that starts the run.
+
 Exact search comes first: ``exhaustive_search`` is exact for k up to
 ``Criterion.max_exact_level``.  The additive criteria (Shannon, Renyi,
 cross entropy) are solved at every level by a dynamic program over the
@@ -18,7 +25,7 @@ class table, and Tsallis up to k = 3 by enumerating tuples of occupied
 bins.  Both break ties toward the lexicographically smallest tuple.
 ``heuristic_search`` is a seeded (mu + lambda) evolution strategy usable
 up to k = 5, needed only for Tsallis at k = 4-5, where no cheap exact
-method exists.
+method exists; it scores tuples over all bins through the same table.
 """
 
 from __future__ import annotations
@@ -104,6 +111,8 @@ def _check_hist(hist) -> np.ndarray:
     h = np.asarray(hist, dtype=np.float64)
     if h.ndim != 1 or h.size < 2:
         raise ValueError("expected a 1-D histogram with at least 2 bins")
+    if not np.isfinite(h).all():
+        raise ValueError("non-finite counts")
     if (h < 0).any():
         raise ValueError("negative counts")
     if h.sum() <= 0:
@@ -161,14 +170,17 @@ def _cross_entropy_value(h: np.ndarray, classes) -> float:
     return total
 
 
-def _class_table(h: np.ndarray, criterion: Criterion):
-    """Per-class score table over all intervals, via prefix sums.
+def _class_table(h: np.ndarray, criterion: Criterion, levels: np.ndarray):
+    """Per-class score table over runs of bins, via prefix sums.
 
-    Returns (table, valid, omq): ``table[lo, hi]`` is the class term for
-    the interval [lo, hi] (cross entropy already negated so callers
-    uniformly maximize), ``valid`` flags intervals with positive mass,
-    and ``omq`` is ``1 - q`` for Tsallis (the caller must combine sum
-    and product) or None for additive criteria.  Invalid cells hold 0.
+    ``h`` holds the counts of consecutive bins, and ``levels`` their
+    intensities, which only cross entropy reads: the occupied bins of a
+    histogram, as the searches pass them, or a whole histogram with
+    ``np.arange(B)``.  Returns (table, valid, omq): ``table[a, b]`` is the
+    class term for bins a..b (cross entropy already negated so callers
+    uniformly maximize), ``valid`` flags runs with positive mass, and
+    ``omq`` is ``1 - q`` for Tsallis (the caller must combine sum and
+    product) or None for additive criteria.  Invalid cells hold 0.
     """
     B = h.size
     cum0 = np.zeros(B + 1)
@@ -178,9 +190,8 @@ def _class_table(h: np.ndarray, criterion: Criterion):
     valid = np.triu(np.ones((B, B), dtype=bool)) & (S0 > 0)
     safe0 = np.where(S0 > 0, S0, 1.0)
     if criterion.is_cross_entropy:
-        i = np.arange(B, dtype=np.float64)
-        lni = np.zeros(B)
-        lni[1:] = np.log(i[1:])
+        i = np.asarray(levels, dtype=np.float64)
+        lni = np.log(np.where(i > 0, i, 1.0))
         c1 = np.zeros(B + 1)
         c1[1:] = np.cumsum(i * h)
         c2 = np.zeros(B + 1)
@@ -219,9 +230,10 @@ def _class_table(h: np.ndarray, criterion: Criterion):
 def _dp_additive(neg_table: np.ndarray, k: int) -> tuple[int, ...]:
     """Lexicographically-first optimal tuple for an additive class table.
 
-    ``neg_table`` holds -inf in invalid cells.  Suffix values r[m][i] =
-    best score splitting [i, B-1] into m classes; the greedy backtrack
-    picks the smallest optimal threshold at each step, which yields the
+    ``neg_table`` is the occupied-bin table with -inf in invalid cells,
+    and the tuple indexes occupied bins.  Suffix values r[m][i] = best
+    score splitting [i, B-1] into m classes; the greedy backtrack picks
+    the smallest optimal threshold at each step, which yields the
     lexicographically smallest optimal tuple.
     """
     B = neg_table.shape[0]
@@ -241,28 +253,25 @@ def _dp_additive(neg_table: np.ndarray, k: int) -> tuple[int, ...]:
     return tuple(thresholds)
 
 
-def _tsallis_enumerate(table, omq, cand: np.ndarray, k: int) -> tuple[int, ...]:
+def _tsallis_enumerate(table, omq, k: int) -> tuple[int, ...]:
     """Exact enumeration for the pseudo-additive Tsallis composition.
 
-    ``cand`` holds the occupied bins but the last one.  A threshold in a
-    run of empty bins splits off the same classes, with bit-identical
-    table cells, as the occupied bin that starts the run, which is the
-    smallest threshold giving those classes; so only tuples of
-    candidates are scored, in ascending order, and argmax ties still
-    resolve to the lexicographically smallest tuple.  Every class of
-    such a tuple holds an occupied bin, so each one is valid.
+    ``table`` is the occupied-bin table and the tuple indexes occupied
+    bins: every bin but the last is a candidate threshold.  Tuples are
+    scored in ascending order, so argmax ties resolve to the
+    lexicographically smallest tuple.  Every class of such a tuple holds
+    an occupied bin, so each one is valid.
     """
-    B = table.shape[0]
-    n = cand.size
-    first = table[0, cand]                  # class [0, t1]
-    last = table[cand + 1, B - 1]           # class [t + 1, B-1] indexed by t
-    mid = table[np.ix_(cand + 1, cand)]     # class [a + 1, b] indexed by (a, b)
+    n = table.shape[0] - 1
+    first = table[0, :n]                    # class [0, t1]
+    last = table[1:, n]                     # class [t + 1, B-1] indexed by t
+    mid = table[1:, :n]                     # class [a + 1, b] indexed by (a, b)
     if k == 1:
         tot = first + last + omq * first * last
-        return (int(cand[np.argmax(tot)]),)
+        return (int(np.argmax(tot)),)
     best_val, best = -np.inf, None
     # a prefix fixes the thresholds before the last two: none for k = 2,
-    # t1 = cand[i] for k = 3; ``a`` is the first candidate left for t_{k-1}.
+    # t1 = i for k = 3; ``a`` is the first candidate left for t_{k-1}.
     # Blocks keep row-major order, so ties stay lexicographic
     if k == 2:
         prefixes = [((), 0.0, 1.0, first, 0)]
@@ -282,12 +291,12 @@ def _tsallis_enumerate(table, omq, cand: np.ndarray, k: int) -> tuple[int, ...]:
             j, l = divmod(flat, tot.shape[1])
             best_val = val
             best = pre + (a + j, a + 1 + l)
-    return tuple(int(cand[x]) for x in best)
+    return best
 
 
 def _prepare(hist, k: int, top: int, criterion: Criterion):
     """Check the histogram, 1 <= k <= ``top`` and that k + 1 bins are
-    occupied; return (h, occupied bins) + ``_class_table``."""
+    occupied; return (h, occupied bins) + ``_class_table`` over them."""
     h = _check_hist(hist)
     if not 1 <= k <= top:
         raise ValueError(f"k {k} outside [1, {top}]")
@@ -295,7 +304,7 @@ def _prepare(hist, k: int, top: int, criterion: Criterion):
     if occupied.size < k + 1:
         raise ValueError(f"no valid tuple: {occupied.size} occupied bins "
                          f"cannot fill {k + 1} classes")
-    return (h, occupied) + _class_table(h, criterion)
+    return (h, occupied) + _class_table(h[occupied], criterion, occupied)
 
 
 def exhaustive_search(hist, k: int,
@@ -312,41 +321,68 @@ def exhaustive_search(hist, k: int,
     if omq is None:
         t = _dp_additive(np.where(valid, table, -np.inf), k)
     else:
-        t = _tsallis_enumerate(table, omq, occupied[:-1], k)
+        t = _tsallis_enumerate(table, omq, k)
+    t = tuple(int(occupied[x]) for x in t)
     return t, criterion_value(h, t, criterion)
 
 
-def _batch_scores(table, valid, omq, cand: np.ndarray) -> np.ndarray:
-    """Scores for an (m, k) array of candidate tuples; invalid -> -inf."""
-    m, k = cand.shape
-    B = table.shape[0]
-    lo = np.empty((m, k + 1), dtype=np.intp)
-    hi = np.empty((m, k + 1), dtype=np.intp)
-    lo[:, 0] = 0
-    lo[:, 1:] = cand + 1
-    hi[:, :k] = cand
-    hi[:, k] = B - 1
-    terms = table[lo, hi]
-    ok = valid[lo, hi].all(axis=1)
+def _full_grid(table, valid, occupied: np.ndarray, B: int) -> np.ndarray:
+    """Spread an occupied-bin table over every bin interval [lo, hi].
+
+    The interval takes the cell of its first occupied bin >= lo and its
+    last occupied bin <= hi.  It is invalid, and holds NaN, when the
+    first comes after the last or that cell is invalid.
+    """
+    bins = np.arange(B)
+    first = np.searchsorted(occupied, bins)
+    last = np.searchsorted(occupied, bins, side="right") - 1
+    m = occupied.size
+    cells = np.minimum(first, m - 1)[:, None] * m + np.maximum(last, 0)[None, :]
+    ok = (first[:, None] <= last[None, :]) & valid.take(cells)
+    return np.where(ok, table.take(cells), np.nan)
+
+
+def _class_cells(k: int, B: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, off) with ``t @ M + off`` the flat B x B cells of the k + 1
+    classes [0, t1], [t1 + 1, t2], ..., [tk + 1, B - 1] of a tuple t."""
+    j = np.arange(k)
+    M = np.zeros((k, k + 1), dtype=np.int64)
+    M[j, j] = 1             # t[j] ends class j ...
+    M[j, j + 1] = B         # ... and class j + 1 starts at t[j] + 1
+    off = np.full(k + 1, B, dtype=np.int64)
+    off[0] = 0
+    off[k] += B - 1
+    return M, off
+
+
+def _batch_scores(grid, omq, cand: np.ndarray, cells) -> np.ndarray:
+    """Scores for an (m, k) array of candidate tuples on a ``_full_grid``
+    table, through ``_class_cells``.  An invalid class's NaN cell makes
+    the tuple's score NaN, reported as -inf."""
+    M, off = cells
+    terms = grid.take(cand @ M + off)
     if omq is None:
         scores = terms.sum(axis=1)
     else:
         scores = terms.sum(axis=1) + omq * terms.prod(axis=1)
-    scores[~ok] = -np.inf
+    scores[np.isnan(scores)] = -np.inf
     return scores
 
 
 def _repair(cand: np.ndarray, B: int) -> np.ndarray:
-    """Sort and de-duplicate candidate rows into strict increase."""
-    np.clip(cand, 0, B - 2, out=cand)
-    cand.sort(axis=1)
+    """Sort and de-duplicate candidate rows into strict increase.
+
+    Each row is pushed up to strict increase, its last entry capped at
+    B - 2, and then pulled down to strict increase again; on ``t_j - j``
+    the two passes are a running maximum and a reversed running minimum.
+    """
     k = cand.shape[1]
-    for j in range(1, k):
-        cand[:, j] = np.maximum(cand[:, j], cand[:, j - 1] + 1)
-    cand[:, k - 1] = np.minimum(cand[:, k - 1], B - 2)
-    for j in range(k - 2, -1, -1):
-        cand[:, j] = np.minimum(cand[:, j], cand[:, j + 1] - 1)
-    return cand
+    cand = np.minimum(np.maximum(cand, 0), B - 2)
+    cand.sort(axis=1)
+    step = np.arange(k)
+    up = np.maximum.accumulate(cand - step, axis=1)
+    np.minimum(up[:, -1], B - 1 - k, out=up[:, -1])
+    return np.minimum.accumulate(up[:, ::-1], axis=1)[:, ::-1] + step
 
 
 def _seed_tuples(h: np.ndarray, k: int, population: int,
@@ -378,12 +414,14 @@ def heuristic_search(hist, k: int, criterion: Criterion = Criterion(),
     Deterministic for fixed inputs and seed; the result never exceeds
     the exhaustive optimum and is always a valid tuple.
     """
-    h, _, table, valid, omq = _prepare(hist, k, MAX_LEVELS, criterion)
+    h, occupied, table, valid, omq = _prepare(hist, k, MAX_LEVELS, criterion)
     B = h.size
     if population < 2:
         raise ValueError("population must be at least 2")
     if budget < 50 * k:
         raise ValueError(f"budget {budget} below minimum {50 * k}")
+    grid = _full_grid(table, valid, occupied, B)
+    cells = _class_cells(k, B)
     rng = np.random.default_rng(seed)
     budget_es = budget - min(budget // 10, 30 * k)
     phases = max(1, min(3, budget_es // (4 * population)))
@@ -395,7 +433,7 @@ def heuristic_search(hist, k: int, criterion: Criterion = Criterion(),
         if evals + population > budget_es:
             break
         pop = _seed_tuples(h, k, population, rng)
-        scores = _batch_scores(table, valid, omq, pop)
+        scores = _batch_scores(grid, omq, pop, cells)
         evals += pop.shape[0]
         phase_evals = pop.shape[0]
         phase_end = min(budget_es, (phase + 1) * per_phase)
@@ -404,19 +442,20 @@ def heuristic_search(hist, k: int, criterion: Criterion = Criterion(),
         pop, scores = pop[order], scores[order]
         while evals < phase_end:
             n_off = min(population, phase_end - evals)
-            pa = rng.integers(0, population, n_off)
-            pb = rng.integers(0, population, n_off)
+            # one draw for both parents: bounded int64 draws stream on
+            # without a per-call buffer, so this equals two calls
+            pa, pb = rng.integers(0, population, (2, n_off))
             cross = rng.random((n_off, k)) < 0.5
             children = np.where(cross, pop[pa], pop[pb])
             sigma = _SIGMA0 * 0.5 ** (phase_evals // quarter)
             children = children + np.rint(
                 rng.normal(0.0, sigma, (n_off, k))).astype(np.int64)
-            _repair(children, B)
-            child_scores = _batch_scores(table, valid, omq, children)
+            children = _repair(children, B)
+            child_scores = _batch_scores(grid, omq, children, cells)
             evals += n_off
             phase_evals += n_off
-            pool = np.vstack([pop, children])
-            pool_scores = np.concatenate([scores, child_scores])
+            pool = np.concatenate((pop, children))
+            pool_scores = np.concatenate((scores, child_scores))
             order = _rank(pool, pool_scores)[:population]
             pop, scores = pool[order], pool_scores[order]
         if scores[0] > best_score:
@@ -437,7 +476,7 @@ def heuristic_search(hist, k: int, criterion: Criterion = Criterion(),
                     continue
                 if j < k - 1 and cand[j] >= cand[j + 1]:
                     continue
-                sc = _batch_scores(table, valid, omq, cand[None, :])[0]
+                sc = _batch_scores(grid, omq, cand[None, :], cells)[0]
                 evals += 1
                 if sc > best_score:
                     best, best_score = cand, sc
@@ -456,8 +495,10 @@ def apply_thresholds(img, thresholds) -> np.ndarray:
     """Label each pixel with its threshold interval.
 
     Pixel value v gets label m where t_m < v <= t_{m+1}, with t_0 = -1
-    and t_{k+1} = 255; labels are monotone in intensity.
+    and t_{k+1} = 255; labels are monotone in intensity.  The labels of
+    all 256 gray values are found once and looked up per pixel.
     """
     a = as_gray(img)
     t = check_thresholds(thresholds, 256)
-    return np.searchsorted(np.asarray(t), a, side="left").astype(np.uint8)
+    lut = np.searchsorted(np.asarray(t), np.arange(256), side="left")
+    return lut.astype(np.uint8)[a]

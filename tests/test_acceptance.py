@@ -142,11 +142,13 @@ def _best_additive(W, k):
         return float(np.max(first + last))
     if k == 2:
         return float(np.max(first[:, None] + mid + last[None, :]))
+    # k = 3: for each t1 only the block t1 < t2 < t3 can be finite
     best = _NEG
     for t1 in range(T - 2):
         if first[t1] == _NEG:
             continue
-        s = first[t1] + mid[t1][:, None] + mid + last[None, :]
+        b = t1 + 1
+        s = first[t1] + mid[t1, b:][:, None] + mid[b:, b:] + last[None, b:]
         best = max(best, float(np.max(s)))
     return best
 
@@ -171,10 +173,13 @@ def _best_tsallis(Wv, k, q=2.0):
     for t1 in range(T - 2):
         if not fv[t1]:
             continue
+        b = t1 + 1
         a = first[t1]
-        col = mid[t1][:, None]
-        s = a + col + mid + last[None, :] + omq * a * col * mid * last[None, :]
-        s = np.where(mv[t1][:, None] & mv & lv[None, :], s, _NEG)
+        col = mid[t1, b:][:, None]
+        blk = mid[b:, b:]
+        end = last[None, b:]
+        s = a + col + blk + end + omq * a * col * blk * end
+        s = np.where(mv[t1, b:][:, None] & mv[b:, b:] & lv[None, b:], s, _NEG)
         best = max(best, float(np.max(s)))
     return best
 

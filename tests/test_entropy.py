@@ -91,6 +91,12 @@ def test_normalize_rejects_empty_and_negative():
         normalize(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normalize_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite counts"):
+        normalize([5, bad, 3, 4])
+
+
 def test_entropy_closed_forms():
     assert entropy([0.5, 0.5]) == pytest.approx(np.log(2), abs=1e-12)
     assert entropy([1.0, 0.0, 0.0]) == 0.0

@@ -8,6 +8,7 @@ import pytest
 from entrobench.entropy import EntropyKind
 from entrobench.metrics import align_labels, confusion, kappa
 from entrobench.raster import Region, SceneSpec, generate_scene
+import entrobench.thresholding as thr
 from entrobench.thresholding import (
     Criterion,
     _class_table,
@@ -236,7 +237,8 @@ def full_grid_tsallis(h, k, q):
     resolved by the grid's order: the lexicographically smallest tuple.
     """
     table, valid, omq = _class_table(np.asarray(h, dtype=np.float64),
-                                     Criterion(EntropyKind.tsallis(q)))
+                                     Criterion(EntropyKind.tsallis(q)),
+                                     np.arange(len(h)))
     B = table.shape[0]
     t = [np.arange(B - 1).reshape((-1,) + (1,) * (k - 1 - j)) for j in range(k)]
     lo = [0] + [x + 1 for x in t]
@@ -362,6 +364,153 @@ def test_heuristic_argument_errors():
         heuristic_search(h, 2, SHANNON_C, population=1)
     with pytest.raises(ValueError):
         heuristic_search(spikes([1, 2], [5, 5]), 2, SHANNON_C)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_counts_rejected(bad):
+    h = np.array([5, bad, 3, 4])
+    for call in (lambda: criterion_value(h, (1,), SHANNON_C),
+                 lambda: exhaustive_search(h, 1, SHANNON_C),
+                 lambda: heuristic_search(h, 1, SHANNON_C),
+                 lambda: class_distribution(h, 0, 2)):
+        with pytest.raises(ValueError, match="non-finite counts"):
+            call()
+
+
+def table_cases():
+    """Sparse, dense, tied-spike, edge-packed and single-run histograms."""
+    rng = np.random.default_rng(43)
+    sparse = np.zeros(256, dtype=np.int64)
+    sparse[rng.choice(256, size=12, replace=False)] = rng.integers(1, 900, 12)
+    dense = rng.integers(1, 2000, 256)
+    dense[rng.random(256) < 0.1] = 0
+    single_run = np.zeros(256, dtype=np.int64)
+    single_run[100:130] = rng.integers(1, 50, 30)
+    return {
+        "sparse": sparse,
+        "dense": dense,
+        "tied-spikes": spikes([0, 64, 128, 192, 255], [7] * 5),
+        "edge-packed": spikes([0, 1, 2, 253, 254, 255], [3, 1, 4, 4, 1, 3]),
+        "single-run": single_run,
+    }
+
+
+TABLE_CRITERIA = [Criterion(k) for k in (
+    EntropyKind.shannon(), EntropyKind.renyi(0.5), EntropyKind.renyi(2.0),
+    EntropyKind.tsallis(0.5), EntropyKind.tsallis(2.0),
+    EntropyKind.tsallis(3.0))] + [CROSS_C]
+
+
+@pytest.mark.parametrize("case", list(table_cases()))
+@pytest.mark.parametrize("criterion", TABLE_CRITERIA,
+                         ids=["shannon", "renyi0.5", "renyi2", "tsallis0.5",
+                              "tsallis2", "tsallis3", "cross-entropy"])
+def test_occupied_bin_table_matches_full_grid(case, criterion):
+    """Each interval's full-grid cell has the bits of the occupied-bin
+    cell of its first occupied bin >= lo and last occupied bin <= hi,
+    and the interval is valid exactly when that pair is."""
+    h = table_cases()[case].astype(np.float64)
+    occ = np.flatnonzero(h)
+    full, full_ok, full_omq = _class_table(h, criterion, np.arange(h.size))
+    table, ok, omq = _class_table(h[occ], criterion, occ)
+    assert omq == full_omq
+    B = h.size
+    first = np.searchsorted(occ, np.arange(B))
+    last = np.searchsorted(occ, np.arange(B), side="right") - 1
+    lo, hi = np.meshgrid(np.arange(B), np.arange(B), indexing="ij")
+    a, b = first[lo], last[hi]
+    inside = a <= b
+    assert ok[np.triu_indices(occ.size)].all()
+    np.testing.assert_array_equal(full_ok, inside & ok[np.minimum(a, occ.size - 1),
+                                                      np.maximum(b, 0)])
+    assert (full[full_ok] == table[a[full_ok], b[full_ok]]).all()
+    assert (full[~full_ok] == 0).all()
+
+
+def _reference_batch_scores(table, valid, omq, cand):
+    """Two-index scoring of (m, k) candidate tuples on a full-grid table,
+    kept as the reference for ``_batch_scores``; invalid -> -inf."""
+    m, k = cand.shape
+    B = table.shape[0]
+    lo = np.empty((m, k + 1), dtype=np.intp)
+    hi = np.empty((m, k + 1), dtype=np.intp)
+    lo[:, 0] = 0
+    lo[:, 1:] = cand + 1
+    hi[:, :k] = cand
+    hi[:, k] = B - 1
+    terms = table[lo, hi]
+    ok = valid[lo, hi].all(axis=1)
+    if omq is None:
+        scores = terms.sum(axis=1)
+    else:
+        scores = terms.sum(axis=1) + omq * terms.prod(axis=1)
+    scores[~ok] = -np.inf
+    return scores
+
+
+def _reference_repair(cand, B):
+    """Per-column form of ``_repair``, kept as its reference."""
+    np.clip(cand, 0, B - 2, out=cand)
+    cand.sort(axis=1)
+    k = cand.shape[1]
+    for j in range(1, k):
+        cand[:, j] = np.maximum(cand[:, j], cand[:, j - 1] + 1)
+    cand[:, k - 1] = np.minimum(cand[:, k - 1], B - 2)
+    for j in range(k - 2, -1, -1):
+        cand[:, j] = np.minimum(cand[:, j], cand[:, j + 1] - 1)
+    return cand
+
+
+def test_repair_matches_column_passes():
+    rng = np.random.default_rng(12)
+    for B in (8, 16, 256):
+        for k in range(1, 6):
+            if k > B - 1:
+                continue
+            cand = rng.integers(-40, B + 40, (300, k))
+            want = _reference_repair(cand.copy(), B)
+            np.testing.assert_array_equal(thr._repair(cand.copy(), B), want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_heuristic_search_matches_full_grid_scoring(k, monkeypatch):
+    """The evolution strategy follows the same trajectory as with the
+    per-column repair and two-index scoring on the full-grid table."""
+    rng = np.random.default_rng(100 + k)
+    cases = [(h, c) for h in (mixture_hist(rng), table_cases()["sparse"],
+                              table_cases()["edge-packed"])
+             for c in ALL_CRITERIA if np.count_nonzero(h) >= k + 1]
+    new = [heuristic_search(h, k, c, seed=k, budget=1500) for h, c in cases]
+    monkeypatch.setattr(thr, "_repair", _reference_repair)
+    old = []
+    for h, c in cases:
+        table, valid, omq = _class_table(np.asarray(h, dtype=np.float64), c,
+                                         np.arange(len(h)))
+        monkeypatch.setattr(
+            thr, "_batch_scores",
+            lambda _grid, _omq, cand, _cells: _reference_batch_scores(
+                table, valid, omq, cand))
+        old.append(heuristic_search(h, k, c, seed=k, budget=1500))
+    assert repr(new) == repr(old)
+
+
+def test_parent_draw_matches_two_calls():
+    # heuristic_search draws both parents in one call; its trajectory
+    # depends on that matching two calls of n each, and what follows
+    for n in (1, 7, 20):
+        one, two = np.random.default_rng(n), np.random.default_rng(n)
+        pa, pb = one.integers(0, 20, (2, n))
+        np.testing.assert_array_equal(pa, two.integers(0, 20, n))
+        np.testing.assert_array_equal(pb, two.integers(0, 20, n))
+        assert one.random() == two.random()
+
+
+def test_apply_thresholds_matches_searchsorted_on_every_gray_value():
+    img = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    for t in [(0,), (254,), (127,), (0, 254), (10, 11, 12),
+              (0, 1, 2, 3, 4), (30, 90, 140, 200, 254)]:
+        want = np.searchsorted(np.asarray(t), img, side="left")
+        np.testing.assert_array_equal(apply_thresholds(img, t), want)
 
 
 def test_apply_thresholds_boundaries():
