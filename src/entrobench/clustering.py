@@ -70,6 +70,8 @@ class FeatureSet:
         c = np.asarray(self.coords, dtype=np.int64)
         if f.ndim != 2 or f.shape[0] < 2:
             raise ValueError("expected an (n, d) feature matrix with n >= 2")
+        if not np.isfinite(f).all():
+            raise ValueError("non-finite feature components")
         if f.min() < 0.0 or f.max() > 1.0:
             raise ValueError("feature components outside [0, 1]")
         if c.shape != (f.shape[0], 2):

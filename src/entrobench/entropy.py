@@ -135,6 +135,8 @@ def _check_dist(p) -> np.ndarray:
     q = np.asarray(p, dtype=np.float64).ravel()
     if q.size == 0:
         raise ValueError("empty distribution")
+    if not np.isfinite(q).all():
+        raise ValueError("non-finite probabilities")
     if (q < 0).any():
         raise ValueError("negative probabilities")
     if abs(q.sum() - 1.0) > _PROB_TOL:

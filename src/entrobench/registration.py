@@ -6,13 +6,9 @@ Nelder-Mead descent on the negated generalized mutual information,
 with a half-resolution first stage on large images, and reports NCCC
 and control-point RMSE diagnostics alongside the recovered transform.
 
-``mi_objective`` is the checked, self-contained MI of one transform.
-``register`` evaluates the same value through a private evaluator that
-is prepared once per image pair and pyramid level: the reference is
-binned once, the warp repeats ``transform_apply``'s arithmetic into
-reused buffers, and the joint histogram goes straight to an unchecked
-MI.  Its values equal ``mi_objective``'s bit for bit, so the search and
-its results do not depend on which of the two it calls.
+One bilinear warp, ``_Warp``, does all the resampling: ``transform_apply``,
+``mi_objective`` and the MI evaluator that ``register`` prepares once per
+image pair and pyramid level all run on it.
 """
 
 from __future__ import annotations
@@ -24,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .entropy import (SHANNON, EntropyKind, _check_bins, _mutual_information,
+# joint_histogram and mutual_information stay bound here for bench/run.py's tracer
+from .entropy import (SHANNON, EntropyKind, _check_bins, _mutual_information,  # noqa: F401
                       joint_histogram, mutual_information)
 from .raster import as_gray
 
@@ -117,31 +114,102 @@ class RegistrationResult:
     runtime: float
 
 
+class _Warp:
+    """Inverse-mapped bilinear resampling of one image, prepared once.
+
+    ``locate(T)`` maps each output pixel back into the image and marks it
+    outside where its source lies more than ``_EDGE_TOL`` beyond the
+    raster; ``sample()`` then reads every source at its coordinates
+    clamped to the raster and returns the rounded samples.  The image is
+    edge-padded by one row and column, so a sample on the last row or
+    column reads the edge pixel as its second corner.  Both write into
+    buffers reused across calls.  The input is a uint8 raster.
+    """
+
+    def __init__(self, img: np.ndarray):
+        h, w = img.shape
+        self.shape = (h, w)
+        self.cx, self.cy = (w - 1) / 2.0, (h - 1) / 2.0
+        self.relx = np.arange(w, dtype=np.float64)[None, :] - self.cx
+        self.rely = np.arange(h, dtype=np.float64)[:, None] - self.cy
+        padded = np.pad(img.astype(np.float64), ((0, 1), (0, 1)), mode="edge")
+        flat = padded.ravel()
+        # the four corners of a sample whose top-left corner has flat index i
+        self.corners = (flat, flat[1:], flat[w + 1:], flat[w + 2:])
+        self.xs, self.ys, self.x0, self.y0, self.wx0, self.wy0 = (
+            np.empty((h, w)) for _ in range(6))
+        self.index = np.empty((h, w), dtype=np.intp)
+        self.outside, self.flag = (np.empty((h, w), dtype=bool) for _ in range(2))
+
+    def locate(self, T: SimilarityTransform) -> int:
+        """Fill the source coordinates and outside mask; return the inside count."""
+        h, w = self.shape
+        xs, ys, outside, flag = self.xs, self.ys, self.outside, self.flag
+        inv = T.inverse()
+        cosr = inv.scale * math.cos(inv.theta)
+        sinr = inv.scale * math.sin(inv.theta)
+        np.subtract(cosr * self.relx, sinr * self.rely, out=xs)
+        xs += self.cx
+        xs += inv.dx
+        np.add(sinr * self.relx, cosr * self.rely, out=ys)
+        ys += self.cy
+        ys += inv.dy
+        tol = _EDGE_TOL
+        np.less(xs, -tol, out=outside)
+        np.greater(xs, w - 1 + tol, out=flag)
+        outside |= flag
+        np.less(ys, -tol, out=flag)
+        outside |= flag
+        np.greater(ys, h - 1 + tol, out=flag)
+        outside |= flag
+        return outside.size - np.count_nonzero(outside)
+
+    def sample(self) -> np.ndarray:
+        """Rounded samples at the located sources, in a reused float64 buffer."""
+        h, w = self.shape
+        xs, ys = self.xs, self.ys
+        # clamp, then split each coordinate c into its corner c0 and the
+        # weights w0 = 1 - (c - c0) and w1 = 1 - w0, which overwrite c
+        np.clip(xs, 0.0, w - 1.0, out=xs)
+        np.clip(ys, 0.0, h - 1.0, out=ys)
+        for c, c0, w0 in ((xs, self.x0, self.wx0), (ys, self.y0, self.wy0)):
+            np.floor(c, out=c0)
+            np.subtract(c, c0, out=c)
+            np.subtract(1.0, c, out=w0)
+            np.subtract(1.0, w0, out=c)
+        wx0, wx1, wy0, wy1 = self.wx0, xs, self.wy0, ys
+        # flat index of each sample's top-left corner in the padded image
+        index = self.index
+        y0 = self.y0
+        y0 *= w + 1
+        y0 += self.x0
+        index[...] = y0
+        v00, v01, v10, v11 = self.corners
+        acc, term = self.x0, self.y0
+        # indices are in range by construction; mode="clip" skips the check
+        np.take(v00, index, out=acc, mode="clip")
+        acc *= wy0
+        acc *= wx0
+        for v, wy, wx in ((v01, wy0, wx1), (v10, wy1, wx0), (v11, wy1, wx1)):
+            np.take(v, index, out=term, mode="clip")
+            term *= wy
+            term *= wx
+            acc += term
+        # a sample is a convex combination of uint8 values: rint lands in [0, 255]
+        np.rint(acc, out=acc)
+        return acc
+
+
 def transform_apply(img, T: SimilarityTransform) -> tuple[np.ndarray, np.ndarray]:
     """Warp an image by inverse-mapped bilinear resampling.
 
     Returns (warped uint8, validity mask); a pixel is invalid when its
-    source location falls outside the input raster.
+    source location falls outside the input raster, and its value is
+    read at the nearest point of the raster.
     """
-    from scipy.ndimage import map_coordinates
-
-    a = as_gray(img)
-    h, w = a.shape
-    inv = T.inverse()
-    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    cosr = inv.scale * math.cos(inv.theta)
-    sinr = inv.scale * math.sin(inv.theta)
-    relx = np.arange(w, dtype=np.float64)[None, :] - cx
-    rely = np.arange(h, dtype=np.float64)[:, None] - cy
-    xs = cosr * relx - sinr * rely + cx + inv.dx
-    ys = sinr * relx + cosr * rely + cy + inv.dy
-    tol = _EDGE_TOL
-    valid = ((xs >= -tol) & (xs <= w - 1 + tol)
-             & (ys >= -tol) & (ys <= h - 1 + tol))
-    sampled = map_coordinates(a.astype(np.float64), [ys, xs],
-                              order=1, mode="nearest")
-    warped = np.clip(np.rint(sampled), 0, 255).astype(np.uint8)
-    return warped, valid
+    warp = _Warp(as_gray(img))
+    warp.locate(T)
+    return warp.sample().astype(np.uint8), ~warp.outside
 
 
 def nccc(a, b, mask=None) -> float:
@@ -183,112 +251,48 @@ def mi_objective(ref, moving, T: SimilarityTransform,
     m = as_gray(moving)
     if r.shape != m.shape:
         raise ValueError(f"shape mismatch {r.shape} vs {m.shape}")
-    warped, valid = transform_apply(m, T)
-    if valid.sum() < _MIN_OVERLAP * valid.size:
+    mi = _MIEvaluator(r, m, kind, bins)(T)
+    if mi is None:
         raise ValueError("insufficient overlap after transform")
-    joint = joint_histogram(r, warped, bins=bins, mask=valid)
-    return mutual_information(joint, kind)
+    return mi
 
 
 class _MIEvaluator:
     """``mi_objective`` for one fixed (ref, moving) pair, prepared once.
 
-    Calls return exactly the value ``mi_objective(ref, moving, T, kind,
-    bins)`` returns, or None where it raises for insufficient overlap.
-    Set-up checks ``bins``, bins the reference and edge-pads the moving
-    image by one row and column, so that the second corner of a sample
-    on the last row or column reads the edge pixel as scipy's
-    ``mode="nearest"`` does.  A call computes the coordinates and the
-    overlap exactly as ``transform_apply`` does and repeats
-    ``map_coordinates``' order-1 arithmetic: clamped coordinates,
-    weights ``w0 = 1 - (x - floor(x))`` and ``w1 = 1 - w0``, terms
-    ``(v * wy) * wx`` summed corner by corner in row-major order.
-    Pixels outside the overlap go to one extra trash bin of a single
-    ``bincount``.  Inputs are uint8 rasters of equal shape.
+    Calls return the MI of T, or None where the overlap covers less than
+    10% of the raster.  Set-up checks ``bins``, bins the reference and
+    prepares the moving image's ``_Warp``.  A call warps, adds each
+    sample's bin to its reference pixel's row offset and counts the
+    joint histogram in a single ``bincount``, with the pixels outside the
+    overlap in one extra trash bin.  Inputs are uint8 rasters of equal
+    shape.
     """
 
     def __init__(self, ref: np.ndarray, moving: np.ndarray,
                  kind: EntropyKind, bins: int):
         self.bins = _check_bins(bins)
         self.kind = kind
-        h, w = ref.shape
-        self.shape = (h, w)
-        self.cx, self.cy = (w - 1) / 2.0, (h - 1) / 2.0
-        self.relx = np.arange(w, dtype=np.float64)[None, :] - self.cx
-        self.rely = np.arange(h, dtype=np.float64)[:, None] - self.cy
+        self.warp = _Warp(moving)
         # each reference pixel's row offset in the flattened joint histogram
         self.ref_offset = (((ref.astype(np.intp) * self.bins) >> 8)
                            * self.bins).astype(np.float64)
-        padded = np.pad(moving.astype(np.float64), ((0, 1), (0, 1)), mode="edge")
-        flat = padded.ravel()
-        # the four corners of a sample whose top-left corner has flat index i
-        self.corners = (flat, flat[1:], flat[w + 1:], flat[w + 2:])
-        self.xs, self.ys, self.x0, self.y0, self.wx0, self.wy0 = (
-            np.empty((h, w)) for _ in range(6))
-        self.index = np.empty((h, w), dtype=np.intp)
-        self.outside, self.flag = (np.empty((h, w), dtype=bool) for _ in range(2))
 
     def __call__(self, T: SimilarityTransform) -> float | None:
-        h, w = self.shape
-        xs, ys, outside, flag = self.xs, self.ys, self.outside, self.flag
-        inv = T.inverse()
-        cosr = inv.scale * math.cos(inv.theta)
-        sinr = inv.scale * math.sin(inv.theta)
-        np.subtract(cosr * self.relx, sinr * self.rely, out=xs)
-        xs += self.cx
-        xs += inv.dx
-        np.add(sinr * self.relx, cosr * self.rely, out=ys)
-        ys += self.cy
-        ys += inv.dy
-        tol = _EDGE_TOL
-        np.less(xs, -tol, out=outside)
-        np.greater(xs, w - 1 + tol, out=flag)
-        outside |= flag
-        np.less(ys, -tol, out=flag)
-        outside |= flag
-        np.greater(ys, h - 1 + tol, out=flag)
-        outside |= flag
-        n_valid = outside.size - np.count_nonzero(outside)
-        if n_valid < _MIN_OVERLAP * outside.size:
+        warp = self.warp
+        n_valid = warp.locate(T)
+        if n_valid < _MIN_OVERLAP * warp.outside.size:
             return None
-
-        # clamp, then split each coordinate c into its corner c0 and the
-        # weights w0 = 1 - (c - c0) and w1 = 1 - w0, which overwrite c
-        np.clip(xs, 0.0, w - 1.0, out=xs)
-        np.clip(ys, 0.0, h - 1.0, out=ys)
-        for c, c0, w0 in ((xs, self.x0, self.wx0), (ys, self.y0, self.wy0)):
-            np.floor(c, out=c0)
-            np.subtract(c, c0, out=c)
-            np.subtract(1.0, c, out=w0)
-            np.subtract(1.0, w0, out=c)
-        wx0, wx1, wy0, wy1 = self.wx0, xs, self.wy0, ys
-        # flat index of each sample's top-left corner in the padded image
-        index = self.index
-        y0 = self.y0
-        y0 *= w + 1
-        y0 += self.x0
-        index[...] = y0
-        v00, v01, v10, v11 = self.corners
-        acc, term = self.x0, self.y0
-        # indices are in range by construction; mode="clip" skips the check
-        np.take(v00, index, out=acc, mode="clip")
-        acc *= wy0
-        acc *= wx0
-        for v, wy, wx in ((v01, wy0, wx1), (v10, wy1, wx0), (v11, wy1, wx1)):
-            np.take(v, index, out=term, mode="clip")
-            term *= wy
-            term *= wx
-            acc += term
-        # a sample is a convex combination of uint8 values, so rint lands
-        # in [0, 255]: the clip transform_apply applies changes nothing.
-        # The bin i * bins // 256 of the integer i is its scaled value
-        # floored, exactly, since bins is a power of two; the joint index
-        # is floored by the truncating cast, as every term is nonnegative.
-        np.rint(acc, out=acc)
+        acc = warp.sample()
+        # The bin i * bins // 256 of the integer sample i is its scaled
+        # value floored, exactly, since bins is a power of two; the joint
+        # index is floored by the truncating cast, as every term is
+        # nonnegative.
         acc *= self.bins / 256.0
         acc += self.ref_offset
         nb = self.bins * self.bins
-        np.copyto(acc, nb, where=outside)
+        np.copyto(acc, nb, where=warp.outside)
+        index = warp.index  # free once sample() has returned
         index[...] = acc
         counts = np.bincount(index.ravel(), minlength=nb + 1)
         joint = counts[:nb].reshape(self.bins, self.bins).astype(np.float64) / n_valid
@@ -355,8 +359,10 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
 
     state = {"n": 0}
 
-    def make_objective(ra, ma, cap, track):
+    def run_stage(ra, ma, cap, x0s, maxfev, steps, xatol, fatol):
+        """Nelder-Mead from each start on one evaluator; the best usable point."""
         evaluate = _MIEvaluator(ra, ma, kind, config.bins)
+        best = {"val": np.inf, "vec": None}
 
         def objective(vec):
             if state["n"] >= cap:
@@ -366,16 +372,21 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
             T = SimilarityTransform(float(vec[0]), float(vec[1]), float(vec[2]), s)
             mi = evaluate(T)
             val = _FAIL if mi is None else -mi
-            if val < track["val"] and val < _FAIL:
-                track["val"] = val
-                track["vec"] = np.array([vec[0], vec[1], vec[2], s])
+            if val < best["val"] and val < _FAIL:
+                best["val"] = val
+                best["vec"] = np.array([vec[0], vec[1], vec[2], s])
             return val
-        return objective
 
-    coarse_cap = (config.budget * 3) // 5
-    per_start = max(20, coarse_cap // len(starts))
-    best_stage = {"val": np.inf, "vec": None}
-    best_full = {"val": np.inf, "vec": None}
+        try:
+            for x0 in x0s:
+                minimize(objective, x0, method="Nelder-Mead",
+                         options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol,
+                                  "initial_simplex": _simplex(x0, steps)})
+        except _BudgetExhausted:
+            pass
+        if best["vec"] is None:
+            raise ValueError("insufficient overlap at every restart")
+        return best
 
     # with the pyramid the first stage runs at half resolution, so its
     # shifts are halved and later doubled; both scalings are exact
@@ -383,31 +394,15 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
         ra, ma, zoom, steps = _decimate(r), _decimate(m), 0.5, (1.0, 1.0, 0.04, 0.04)
     else:
         ra, ma, zoom, steps = r, m, 1.0, (2.0, 2.0, 0.05, 0.05)
-    stage_obj = make_objective(ra, ma, coarse_cap, best_stage)
-    try:
-        for x0 in starts:
-            x0 = x0 * np.array([zoom, zoom, 1.0, 1.0])
-            minimize(stage_obj, x0, method="Nelder-Mead",
-                     options={"maxfev": per_start, "xatol": 1e-3, "fatol": 1e-7,
-                              "initial_simplex": _simplex(x0, steps)})
-    except _BudgetExhausted:
-        pass
-    if best_stage["vec"] is None:
-        raise ValueError("insufficient overlap at every restart")
+    coarse_cap = (config.budget * 3) // 5
+    scaled = [x0 * np.array([zoom, zoom, 1.0, 1.0]) for x0 in starts]
+    best_stage = run_stage(ra, ma, coarse_cap, scaled, max(20, coarse_cap // len(starts)),
+                           steps, 1e-3, 1e-7)
     # refinement starts from the stage's best point, so it re-evaluates
     # that point first and best_full starts from the stage's value
     x1 = best_stage["vec"] * np.array([1.0 / zoom, 1.0 / zoom, 1.0, 1.0])
-
-    refine_obj = make_objective(r, m, config.budget, best_full)
-    try:
-        minimize(refine_obj, x1, method="Nelder-Mead",
-                 options={"maxfev": max(1, config.budget - state["n"]),
-                          "xatol": 1e-4, "fatol": 1e-9,
-                          "initial_simplex": _simplex(x1, (0.5, 0.5, 0.01, 0.01))})
-    except _BudgetExhausted:
-        pass
-    if best_full["vec"] is None:
-        raise ValueError("insufficient overlap at every restart")
+    best_full = run_stage(r, m, config.budget, [x1], max(1, config.budget - state["n"]),
+                          (0.5, 0.5, 0.01, 0.01), 1e-4, 1e-9)
 
     vec = best_full["vec"]
     T = SimilarityTransform(float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]))

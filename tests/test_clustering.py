@@ -135,6 +135,14 @@ def test_feature_set_validation():
         FeatureSet(np.array([[0.5], [0.5]]), np.array([[0, 0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_feature_set_rejects_non_finite(bad):
+    # NaN passes the [0, 1] range check, and cluster() used to die on it
+    # with a TypeError deep in the descent
+    with pytest.raises(ValueError, match="non-finite feature components"):
+        FeatureSet(np.array([[0.2], [bad], [0.7]]), np.array([[0, 0], [0, 1], [0, 2]]))
+
+
 def test_cluster_assignment_validation():
     with pytest.raises(ValueError):
         ClusterAssignment(np.array([0, 0, 0]), 2)  # cluster 1 empty

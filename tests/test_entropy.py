@@ -118,6 +118,18 @@ def test_entropy_rejects_invalid_dist():
         entropy([])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_entropy_and_mi_reject_non_finite(bad):
+    # NaN fails neither "p < 0" nor "sum not within 1e-9 of 1", so it
+    # needs its own check
+    with pytest.raises(ValueError, match="non-finite probabilities"):
+        entropy([bad, 1.0])
+    with pytest.raises(ValueError, match="non-finite probabilities"):
+        entropy([0.5, 0.5, bad], RENYI2)
+    with pytest.raises(ValueError, match="non-finite probabilities"):
+        mutual_information([[0.5, bad], [0.25, 0.25]])
+
+
 def test_shannon_bounded_by_uniform():
     """H(p) <= ln n for 10 000 seeded random distributions."""
     rng = np.random.default_rng(0)

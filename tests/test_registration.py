@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import map_coordinates
 
 from entrobench import registration
-from entrobench.entropy import EntropyKind, SHANNON, histogram, normalize, entropy
+from entrobench.entropy import (EntropyKind, SHANNON, entropy, histogram, joint_histogram,
+                                mutual_information, normalize)
 from entrobench.raster import generate_scene
 from entrobench.registration import (
     RegisterConfig,
@@ -31,18 +35,37 @@ def scene_image(size=128, noise=8.0, seed=0, height=None):
     return img
 
 
+def reference_warp(img, T):
+    """Bilinear warp by scipy's map_coordinates (order 1, mode "nearest").
+
+    Returns (warped uint8, validity mask, source xs, source ys); the
+    source coordinates and the mask follow the package's definitions.
+    """
+    h, w = img.shape
+    inv = T.inverse()
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    cosr = inv.scale * math.cos(inv.theta)
+    sinr = inv.scale * math.sin(inv.theta)
+    relx = np.arange(w, dtype=np.float64)[None, :] - cx
+    rely = np.arange(h, dtype=np.float64)[:, None] - cy
+    xs = cosr * relx - sinr * rely + cx + inv.dx
+    ys = sinr * relx + cosr * rely + cy + inv.dy
+    tol = 1e-9
+    valid = (xs >= -tol) & (xs <= w - 1 + tol) & (ys >= -tol) & (ys <= h - 1 + tol)
+    sampled = map_coordinates(img.astype(np.float64), [ys, xs], order=1, mode="nearest")
+    return np.clip(np.rint(sampled), 0, 255).astype(np.uint8), valid, xs, ys
+
+
 def reference_mi(ref, moving, T, kind, bins):
-    """mi_objective, with None where it raises for insufficient overlap."""
-    try:
-        return mi_objective(ref, moving, T, kind, bins)
-    except ValueError as exc:
-        if "insufficient overlap" not in str(exc):
-            raise
+    """MI over reference_warp's overlap, or None where it is under 10%."""
+    warped, valid, _, _ = reference_warp(moving, T)
+    if valid.sum() < 0.1 * valid.size:
         return None
+    return mutual_information(joint_histogram(ref, warped, bins=bins, mask=valid), kind)
 
 
 class ReferenceEvaluator:
-    """Stands in for registration._MIEvaluator, built on mi_objective."""
+    """Stands in for registration._MIEvaluator, built on reference_mi."""
 
     def __init__(self, ref, moving, kind, bins):
         self.args = ref, moving, kind, bins
@@ -210,9 +233,53 @@ def test_mi_evaluator_equals_mi_objective(shape, bins):
             got = evaluate(T)
             if expected is None:
                 assert got is None, (kind, T)
+                with pytest.raises(ValueError, match="insufficient overlap"):
+                    mi_objective(ref, moving, T, kind, bins)
             else:
                 assert got == expected, (kind, T)
+                assert mi_objective(ref, moving, T, kind, bins) == got, (kind, T)
     assert evaluate(transforms[-1]) is None  # the None branch did run
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.integers(2, 40), w=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       dx=st.floats(-20, 20), dy=st.floats(-20, 20),
+       theta=st.one_of(st.floats(-math.pi, math.pi),
+                       st.sampled_from([math.pi / 2, -math.pi / 2, math.pi])),
+       scale=st.floats(0.5, 2.0))
+def test_transform_apply_matches_map_coordinates_inside_raster(h, w, seed, dx, dy,
+                                                               theta, scale):
+    img = np.random.default_rng(seed).integers(0, 256, (h, w)).astype(np.uint8)
+    T = SimilarityTransform(dx, dy, theta, scale)
+    warped, valid = transform_apply(img, T)
+    expected, expected_valid, xs, ys = reference_warp(img, T)
+    np.testing.assert_array_equal(valid, expected_valid)
+    inside = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
+    np.testing.assert_array_equal(warped[inside], expected[inside])
+    # sources outside the closed raster, even within the overlap
+    # tolerance, are read at their clamped coordinates
+    clamped = map_coordinates(img.astype(np.float64), [np.clip(ys, 0, h - 1),
+                                                       np.clip(xs, 0, w - 1)], order=1)
+    np.testing.assert_array_equal(warped, np.rint(clamped))
+
+
+def test_source_just_outside_raster_reads_clamped_coordinate():
+    rng = np.random.default_rng(61)
+    mov = rng.integers(0, 256, (20, 5)).astype(np.uint8)
+    ref = rng.integers(0, 256, (20, 5)).astype(np.uint8)
+    T = SimilarityTransform(theta=math.pi, scale=0.5)
+    warped, valid = transform_apply(mov, T)
+    expected, _, xs, ys = reference_warp(mov, T)
+    # (14, 1) is in the overlap, but its source lies just off the raster,
+    # where map_coordinates rounds the other way
+    assert valid[14, 1] and not valid[14, 0]
+    assert not (0 <= xs[14, 1] <= 4 and 0 <= ys[14, 1] <= 19)
+    assert (warped[14, 1], warped[14, 0]) == (116, 116)
+    assert (expected[14, 1], expected[14, 0]) == (115, 115)
+    mi = 3.170148321475506
+    assert mi_objective(ref, mov, T, SHANNON, 256) == mi
+    assert registration._MIEvaluator(ref, mov, SHANNON, 256)(T) == mi
+    assert reference_mi(ref, mov, T, SHANNON, 256) == 3.123938509438177
 
 
 @pytest.mark.parametrize("case", ["shifted-128", "self-128", "crop-50x60"])
