@@ -68,8 +68,9 @@ class FeatureSet:
     def __post_init__(self):
         f = np.asarray(self.features, dtype=np.float64)
         c = np.asarray(self.coords, dtype=np.int64)
-        if f.ndim != 2 or f.shape[0] < 2:
-            raise ValueError("expected an (n, d) feature matrix with n >= 2")
+        if f.ndim != 2 or f.shape[0] < 2 or f.shape[1] < 1:
+            raise ValueError("expected an (n, d) feature matrix with n >= 2 "
+                             "and d >= 1")
         if not np.isfinite(f).all():
             raise ValueError("non-finite feature components")
         if f.min() < 0.0 or f.max() > 1.0:

@@ -25,7 +25,7 @@ class table, and Tsallis up to k = 3 by enumerating tuples of occupied
 bins.  Both break ties toward the lexicographically smallest tuple.
 ``heuristic_search`` is a seeded (mu + lambda) evolution strategy usable
 up to k = 5, needed only for Tsallis at k = 4-5, where no cheap exact
-method exists; it scores tuples over all bins through the same table.
+method exists; it too searches tuples of occupied bins on the same table.
 """
 
 from __future__ import annotations
@@ -176,19 +176,21 @@ def _class_table(h: np.ndarray, criterion: Criterion, levels: np.ndarray):
     ``h`` holds the counts of consecutive bins, and ``levels`` their
     intensities, which only cross entropy reads: the occupied bins of a
     histogram, as the searches pass them, or a whole histogram with
-    ``np.arange(B)``.  Returns (table, valid, omq): ``table[a, b]`` is the
-    class term for bins a..b (cross entropy already negated so callers
-    uniformly maximize), ``valid`` flags runs with positive mass, and
-    ``omq`` is ``1 - q`` for Tsallis (the caller must combine sum and
-    product) or None for additive criteria.  Invalid cells hold 0.
+    ``np.arange(B)``.  Returns (table, omq): ``table[a, b]`` is the class
+    term for bins a..b (cross entropy already negated so callers
+    uniformly maximize), and ``omq`` is ``1 - q`` for Tsallis (the caller
+    must combine sum and product) or None for additive criteria.  Cells
+    of runs without mass hold 0; over occupied bins those are exactly the
+    cells below the diagonal, which no tuple reads.
     """
     B = h.size
     cum0 = np.zeros(B + 1)
     cum0[1:] = np.cumsum(h)
-    # S0[lo, hi] = mass of [lo, hi]
+    # S0[lo, hi] = mass of [lo, hi]; the prefix sums never fall, so it
+    # is positive only on or above the diagonal
     S0 = cum0[None, 1:] - cum0[:B][:, None]
-    valid = np.triu(np.ones((B, B), dtype=bool)) & (S0 > 0)
-    safe0 = np.where(S0 > 0, S0, 1.0)
+    mass = S0 > 0
+    safe0 = np.where(mass, S0, 1.0)
     if criterion.is_cross_entropy:
         i = np.asarray(levels, dtype=np.float64)
         lni = np.log(np.where(i > 0, i, 1.0))
@@ -200,8 +202,7 @@ def _class_table(h: np.ndarray, criterion: Criterion, levels: np.ndarray):
         W2 = c2[None, 1:] - c2[:B][:, None]
         safe1 = np.where(W1 > 0, W1, 1.0)
         val = np.where(W1 > 0, W2 - W1 * np.log(safe1 / safe0), 0.0)
-        table = np.where(valid, -val, 0.0)
-        return table, valid, None
+        return np.where(mass, -val, 0.0), None
     kind = criterion.kind
     if kind.name == "shannon":
         hl = h * np.log(np.where(h > 0, h, 1.0))
@@ -222,21 +223,22 @@ def _class_table(h: np.ndarray, criterion: Criterion, levels: np.ndarray):
         c1[1:] = np.cumsum(h ** q)
         A = c1[None, 1:] - c1[:B][:, None]
         table = (1.0 - A / safe0 ** q) / (q - 1.0)
-    table = np.where(valid, table, 0.0)
     omq = (1.0 - kind.param) if kind.name == "tsallis" else None
-    return table, valid, omq
+    return np.where(mass, table, 0.0), omq
 
 
-def _dp_additive(neg_table: np.ndarray, k: int) -> tuple[int, ...]:
+def _dp_additive(table: np.ndarray, k: int) -> tuple[int, ...]:
     """Lexicographically-first optimal tuple for an additive class table.
 
-    ``neg_table`` is the occupied-bin table with -inf in invalid cells,
-    and the tuple indexes occupied bins.  Suffix values r[m][i] = best
-    score splitting [i, B-1] into m classes; the greedy backtrack picks
-    the smallest optimal threshold at each step, which yields the
+    ``table`` is the occupied-bin table, and the tuple indexes occupied
+    bins.  A class [i, j] needs j >= i, so the DP reads -inf below the
+    diagonal.  Suffix values r[m][i] = best score splitting [i, B-1] into
+    m classes, -inf where fewer than m bins remain; the greedy backtrack
+    picks the smallest optimal threshold at each step, which yields the
     lexicographically smallest optimal tuple.
     """
-    B = neg_table.shape[0]
+    B = table.shape[0]
+    neg_table = np.where(np.tri(B, k=-1, dtype=bool), -np.inf, table)
     r = [None, neg_table[:, B - 1].copy()]  # r[1]
     for m in range(2, k + 1):
         M = neg_table[:, :B - 1] + r[m - 1][1:][None, :]
@@ -246,8 +248,6 @@ def _dp_additive(neg_table: np.ndarray, k: int) -> tuple[int, ...]:
     for m in range(k, 0, -1):
         cand = neg_table[i, :B - 1] + r[m][1:]
         j = int(np.argmax(cand))
-        if not np.isfinite(cand[j]):
-            raise ValueError("no valid threshold tuple")
         thresholds.append(j)
         i = j + 1
     return tuple(thresholds)
@@ -260,7 +260,7 @@ def _tsallis_enumerate(table, omq, k: int) -> tuple[int, ...]:
     bins: every bin but the last is a candidate threshold.  Tuples are
     scored in ascending order, so argmax ties resolve to the
     lexicographically smallest tuple.  Every class of such a tuple holds
-    an occupied bin, so each one is valid.
+    an occupied bin, so each one has mass.
     """
     n = table.shape[0] - 1
     first = table[0, :n]                    # class [0, t1]
@@ -296,7 +296,9 @@ def _tsallis_enumerate(table, omq, k: int) -> tuple[int, ...]:
 
 def _prepare(hist, k: int, top: int, criterion: Criterion):
     """Check the histogram, 1 <= k <= ``top`` and that k + 1 bins are
-    occupied; return (h, occupied bins) + ``_class_table`` over them."""
+    occupied; return (h, occupied bins) + ``_class_table`` over them.
+    Every strictly increasing tuple over all but the last occupied bin
+    then splits them into k + 1 classes that each hold mass."""
     h = _check_hist(hist)
     if not 1 <= k <= top:
         raise ValueError(f"k {k} outside [1, {top}]")
@@ -316,124 +318,102 @@ def exhaustive_search(hist, k: int,
     the lexicographically smallest tuple.  Raises for any other k and
     when the histogram occupies fewer than k + 1 bins (no valid tuple).
     """
-    h, occupied, table, valid, omq = _prepare(hist, k, criterion.max_exact_level,
-                                              criterion)
+    h, occupied, table, omq = _prepare(hist, k, criterion.max_exact_level,
+                                       criterion)
     if omq is None:
-        t = _dp_additive(np.where(valid, table, -np.inf), k)
+        t = _dp_additive(table, k)
     else:
         t = _tsallis_enumerate(table, omq, k)
     t = tuple(int(occupied[x]) for x in t)
     return t, criterion_value(h, t, criterion)
 
 
-def _full_grid(table, valid, occupied: np.ndarray, B: int) -> np.ndarray:
-    """Spread an occupied-bin table over every bin interval [lo, hi].
-
-    The interval takes the cell of its first occupied bin >= lo and its
-    last occupied bin <= hi.  It is invalid, and holds NaN, when the
-    first comes after the last or that cell is invalid.
-    """
-    bins = np.arange(B)
-    first = np.searchsorted(occupied, bins)
-    last = np.searchsorted(occupied, bins, side="right") - 1
-    m = occupied.size
-    cells = np.minimum(first, m - 1)[:, None] * m + np.maximum(last, 0)[None, :]
-    ok = (first[:, None] <= last[None, :]) & valid.take(cells)
-    return np.where(ok, table.take(cells), np.nan)
-
-
-def _class_cells(k: int, B: int) -> tuple[np.ndarray, np.ndarray]:
-    """(M, off) with ``t @ M + off`` the flat B x B cells of the k + 1
-    classes [0, t1], [t1 + 1, t2], ..., [tk + 1, B - 1] of a tuple t."""
+def _class_cells(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, off) with ``t @ M + off`` the flat m x m cells of the k + 1
+    classes [0, t1], [t1 + 1, t2], ..., [tk + 1, m - 1] of a tuple t."""
     j = np.arange(k)
     M = np.zeros((k, k + 1), dtype=np.int64)
     M[j, j] = 1             # t[j] ends class j ...
-    M[j, j + 1] = B         # ... and class j + 1 starts at t[j] + 1
-    off = np.full(k + 1, B, dtype=np.int64)
+    M[j, j + 1] = m         # ... and class j + 1 starts at t[j] + 1
+    off = np.full(k + 1, m, dtype=np.int64)
     off[0] = 0
-    off[k] += B - 1
+    off[k] += m - 1
     return M, off
 
 
-def _batch_scores(grid, omq, cand: np.ndarray, cells) -> np.ndarray:
-    """Scores for an (m, k) array of candidate tuples on a ``_full_grid``
-    table, through ``_class_cells``.  An invalid class's NaN cell makes
-    the tuple's score NaN, reported as -inf."""
+def _batch_scores(table, omq, cand: np.ndarray, cells) -> np.ndarray:
+    """Scores for an (n, k) array of strictly increasing candidate tuples
+    on the occupied-bin table, through ``_class_cells``."""
     M, off = cells
-    terms = grid.take(cand @ M + off)
+    terms = table.take(cand @ M + off)
     if omq is None:
-        scores = terms.sum(axis=1)
-    else:
-        scores = terms.sum(axis=1) + omq * terms.prod(axis=1)
-    scores[np.isnan(scores)] = -np.inf
-    return scores
+        return terms.sum(axis=1)
+    return terms.sum(axis=1) + omq * terms.prod(axis=1)
 
 
-def _repair(cand: np.ndarray, B: int) -> np.ndarray:
+def _repair(cand: np.ndarray, m: int) -> np.ndarray:
     """Sort and de-duplicate candidate rows into strict increase.
 
     Each row is pushed up to strict increase, its last entry capped at
-    B - 2, and then pulled down to strict increase again; on ``t_j - j``
+    m - 2, and then pulled down to strict increase again; on ``t_j - j``
     the two passes are a running maximum and a reversed running minimum.
     """
     k = cand.shape[1]
-    cand = np.minimum(np.maximum(cand, 0), B - 2)
+    cand = np.minimum(np.maximum(cand, 0), m - 2)
     cand.sort(axis=1)
     step = np.arange(k)
     up = np.maximum.accumulate(cand - step, axis=1)
-    np.minimum(up[:, -1], B - 1 - k, out=up[:, -1])
+    np.minimum(up[:, -1], m - 1 - k, out=up[:, -1])
     return np.minimum.accumulate(up[:, ::-1], axis=1)[:, ::-1] + step
 
 
-def _seed_tuples(h: np.ndarray, k: int, population: int,
+def _seed_tuples(counts: np.ndarray, k: int,
                  rng: np.random.Generator) -> np.ndarray:
-    """Initial population: mass-balanced and quantile tuples plus random."""
-    B = h.size
-    nz = np.flatnonzero(h)
-    m = nz.size
-    init = np.empty((population, k), dtype=np.int64)
-    # split the occupied bins into k+1 runs: always a valid tuple
-    init[0] = [nz[(j * m) // (k + 1) - 1] for j in range(1, k + 1)]
-    cdf = np.cumsum(h) / h.sum()
-    init[1] = np.searchsorted(cdf, [j / (k + 1) for j in range(1, k + 1)])
-    for r in range(2, population):
-        init[r] = np.sort(rng.choice(B - 1, size=k, replace=False))
-    return _repair(init, B)
+    """Initial population over the counts of the m occupied bins: the
+    tuple that splits them into k + 1 equal runs, the mass quantiles,
+    and random tuples."""
+    m = counts.size
+    j = np.arange(1, k + 1)
+    init = np.empty((_POPULATION, k), dtype=np.int64)
+    init[0] = j * m // (k + 1) - 1
+    init[1] = np.searchsorted(np.cumsum(counts) / counts.sum(), j / (k + 1))
+    for r in range(2, _POPULATION):
+        init[r] = np.sort(rng.choice(m - 1, size=k, replace=False))
+    return _repair(init, m)
 
 
 def heuristic_search(hist, k: int, criterion: Criterion = Criterion(),
-                     seed: int = 0, budget: int = 5000,
-                     population: int = _POPULATION) -> tuple[tuple[int, ...], float]:
+                     seed: int = 0, budget: int = 5000
+                     ) -> tuple[tuple[int, ...], float]:
     """Seeded (mu + lambda) evolutionary threshold search (k <= 5).
 
-    The budget is split over up to three restarts, each seeded afresh
-    and run with Gaussian mutation whose sigma starts at 12 bins and
-    halves four times over the restart; offspring are re-sorted and
-    de-duplicated before scoring.  A held-back slice of the budget
-    then polishes the best tuple found by coordinate descent.
-    Deterministic for fixed inputs and seed; the result never exceeds
-    the exhaustive optimum and is always a valid tuple.
+    Tuples index the m occupied bins, as in the exact searches, and
+    every class of such a tuple holds mass.  The budget is split over up
+    to three restarts, each seeded afresh and run with Gaussian mutation
+    whose sigma starts at 12 occupied bins and halves four times over
+    the restart; offspring are re-sorted and de-duplicated before
+    scoring.  A held-back slice of the budget then polishes the best
+    tuple found by coordinate descent.  Deterministic for fixed inputs
+    and seed; the result never exceeds the exhaustive optimum, and every
+    threshold in it is an occupied bin.
     """
-    h, occupied, table, valid, omq = _prepare(hist, k, MAX_LEVELS, criterion)
-    B = h.size
-    if population < 2:
-        raise ValueError("population must be at least 2")
+    h, occupied, table, omq = _prepare(hist, k, MAX_LEVELS, criterion)
     if budget < 50 * k:
         raise ValueError(f"budget {budget} below minimum {50 * k}")
-    grid = _full_grid(table, valid, occupied, B)
-    cells = _class_cells(k, B)
+    m = occupied.size
+    cells = _class_cells(k, m)
     rng = np.random.default_rng(seed)
     budget_es = budget - min(budget // 10, 30 * k)
-    phases = max(1, min(3, budget_es // (4 * population)))
+    phases = max(1, min(3, budget_es // (4 * _POPULATION)))
     per_phase = budget_es // phases
     evals = 0
     best = None
     best_score = -np.inf
     for phase in range(phases):
-        if evals + population > budget_es:
+        if evals + _POPULATION > budget_es:
             break
-        pop = _seed_tuples(h, k, population, rng)
-        scores = _batch_scores(grid, omq, pop, cells)
+        pop = _seed_tuples(h[occupied], k, rng)
+        scores = _batch_scores(table, omq, pop, cells)
         evals += pop.shape[0]
         phase_evals = pop.shape[0]
         phase_end = min(budget_es, (phase + 1) * per_phase)
@@ -441,22 +421,22 @@ def heuristic_search(hist, k: int, criterion: Criterion = Criterion(),
         order = _rank(pop, scores)
         pop, scores = pop[order], scores[order]
         while evals < phase_end:
-            n_off = min(population, phase_end - evals)
+            n_off = min(_POPULATION, phase_end - evals)
             # one draw for both parents: bounded int64 draws stream on
             # without a per-call buffer, so this equals two calls
-            pa, pb = rng.integers(0, population, (2, n_off))
+            pa, pb = rng.integers(0, _POPULATION, (2, n_off))
             cross = rng.random((n_off, k)) < 0.5
             children = np.where(cross, pop[pa], pop[pb])
             sigma = _SIGMA0 * 0.5 ** (phase_evals // quarter)
             children = children + np.rint(
                 rng.normal(0.0, sigma, (n_off, k))).astype(np.int64)
-            children = _repair(children, B)
-            child_scores = _batch_scores(grid, omq, children, cells)
+            children = _repair(children, m)
+            child_scores = _batch_scores(table, omq, children, cells)
             evals += n_off
             phase_evals += n_off
             pool = np.concatenate((pop, children))
             pool_scores = np.concatenate((scores, child_scores))
-            order = _rank(pool, pool_scores)[:population]
+            order = _rank(pool, pool_scores)[:_POPULATION]
             pop, scores = pool[order], pool_scores[order]
         if scores[0] > best_score:
             best, best_score = pop[0].copy(), scores[0]
@@ -470,18 +450,18 @@ def heuristic_search(hist, k: int, criterion: Criterion = Criterion(),
                     break
                 cand = best.copy()
                 cand[j] += d
-                if not 0 <= cand[j] <= B - 2:
+                if not 0 <= cand[j] <= m - 2:
                     continue
                 if j > 0 and cand[j] <= cand[j - 1]:
                     continue
                 if j < k - 1 and cand[j] >= cand[j + 1]:
                     continue
-                sc = _batch_scores(grid, omq, cand[None, :], cells)[0]
+                sc = _batch_scores(table, omq, cand[None, :], cells)[0]
                 evals += 1
                 if sc > best_score:
                     best, best_score = cand, sc
                     improved = True
-    result = tuple(int(x) for x in best)
+    result = tuple(int(occupied[x]) for x in best)
     return result, criterion_value(h, result, criterion)
 
 

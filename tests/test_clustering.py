@@ -143,6 +143,12 @@ def test_feature_set_rejects_non_finite(bad):
         FeatureSet(np.array([[0.2], [bad], [0.7]]), np.array([[0, 0], [0, 1], [0, 2]]))
 
 
+def test_feature_set_rejects_zero_feature_columns():
+    # the [0, 1] range check used to die inside numpy's empty reduction
+    with pytest.raises(ValueError, match="d >= 1"):
+        FeatureSet(np.zeros((3, 0)), np.zeros((3, 2)))
+
+
 def test_cluster_assignment_validation():
     with pytest.raises(ValueError):
         ClusterAssignment(np.array([0, 0, 0]), 2)  # cluster 1 empty

@@ -62,6 +62,14 @@ def brute_force(h, k, criterion):
     return best, best_v
 
 
+def full_grid_mass(h):
+    """Cells [lo, hi] of a whole-histogram class table whose bin run lies
+    on or above the diagonal and has positive mass."""
+    cum = np.zeros(len(h) + 1)
+    cum[1:] = np.cumsum(h)
+    return np.triu(cum[None, 1:] - cum[:-1, None] > 0)
+
+
 def test_criterion_construction():
     assert SHANNON_C.label == "shannon"
     assert CROSS_C.is_cross_entropy
@@ -236,9 +244,9 @@ def full_grid_tsallis(h, k, q):
     summation order, so equal tuples score bit-identically and ties are
     resolved by the grid's order: the lexicographically smallest tuple.
     """
-    table, valid, omq = _class_table(np.asarray(h, dtype=np.float64),
-                                     Criterion(EntropyKind.tsallis(q)),
-                                     np.arange(len(h)))
+    table, omq = _class_table(np.asarray(h, dtype=np.float64),
+                              Criterion(EntropyKind.tsallis(q)), np.arange(len(h)))
+    valid = full_grid_mass(h)
     B = table.shape[0]
     t = [np.arange(B - 1).reshape((-1,) + (1,) * (k - 1 - j)) for j in range(k)]
     lo = [0] + [x + 1 for x in t]
@@ -296,6 +304,24 @@ def test_tsallis_occupied_bins_match_full_grid(k, q):
             continue
         t, _ = exhaustive_search(h, k, crit)
         assert t == full_grid_tsallis(h, k, q), h.tolist()
+
+
+def test_heuristic_thresholds_lie_on_occupied_bins():
+    # a threshold on an empty bin splits off the same classes as the
+    # occupied bin that starts its run, which the exact searches return
+    from entrobench.raster import median_filter_3x3
+    from entrobench.scenes import named_scene
+
+    tsallis = Criterion(EntropyKind.tsallis(2.0))
+    cases = [(h, c, k, 600) for h in sparse_cases() for c in ALL_CRITERIA
+             for k in (1, 2, 3, 4, 5) if np.count_nonzero(h) >= k + 1]
+    for s in (0, 1):
+        img = median_filter_3x3(named_scene("five-region", 128, 128, 8.0, s)[0])
+        h = np.bincount(img.ravel(), minlength=256)
+        cases += [(h, tsallis, k, 5000) for k in (4, 5)]
+    for h, c, k, budget in cases:
+        t, _ = heuristic_search(h, k, c, seed=k, budget=budget)
+        assert all(h[x] > 0 for x in t), (h.tolist(), c.label, k, t)
 
 
 def test_heuristic_deterministic():
@@ -361,8 +387,6 @@ def test_heuristic_argument_errors():
     with pytest.raises(ValueError):
         heuristic_search(h, 2, SHANNON_C, budget=99)
     with pytest.raises(ValueError):
-        heuristic_search(h, 2, SHANNON_C, population=1)
-    with pytest.raises(ValueError):
         heuristic_search(spikes([1, 2], [5, 5]), 2, SHANNON_C)
 
 
@@ -411,8 +435,9 @@ def test_occupied_bin_table_matches_full_grid(case, criterion):
     and the interval is valid exactly when that pair is."""
     h = table_cases()[case].astype(np.float64)
     occ = np.flatnonzero(h)
-    full, full_ok, full_omq = _class_table(h, criterion, np.arange(h.size))
-    table, ok, omq = _class_table(h[occ], criterion, occ)
+    full, full_omq = _class_table(h, criterion, np.arange(h.size))
+    table, omq = _class_table(h[occ], criterion, occ)
+    full_ok, ok = full_grid_mass(h), full_grid_mass(h[occ])
     assert omq == full_omq
     B = h.size
     first = np.searchsorted(occ, np.arange(B))
@@ -427,25 +452,23 @@ def test_occupied_bin_table_matches_full_grid(case, criterion):
     assert (full[~full_ok] == 0).all()
 
 
-def _reference_batch_scores(table, valid, omq, cand):
-    """Two-index scoring of (m, k) candidate tuples on a full-grid table,
-    kept as the reference for ``_batch_scores``; invalid -> -inf."""
-    m, k = cand.shape
-    B = table.shape[0]
-    lo = np.empty((m, k + 1), dtype=np.intp)
-    hi = np.empty((m, k + 1), dtype=np.intp)
+def _reference_batch_scores(table, omq, cand):
+    """Two-index scoring of (n, k) candidate tuples on an occupied-bin
+    table, kept as the reference for ``_batch_scores``.  Every class
+    must lie on or above the diagonal, where each cell has mass."""
+    n, k = cand.shape
+    m = table.shape[0]
+    lo = np.empty((n, k + 1), dtype=np.intp)
+    hi = np.empty((n, k + 1), dtype=np.intp)
     lo[:, 0] = 0
     lo[:, 1:] = cand + 1
     hi[:, :k] = cand
-    hi[:, k] = B - 1
+    hi[:, k] = m - 1
+    assert (lo <= hi).all()
     terms = table[lo, hi]
-    ok = valid[lo, hi].all(axis=1)
     if omq is None:
-        scores = terms.sum(axis=1)
-    else:
-        scores = terms.sum(axis=1) + omq * terms.prod(axis=1)
-    scores[~ok] = -np.inf
-    return scores
+        return terms.sum(axis=1)
+    return terms.sum(axis=1) + omq * terms.prod(axis=1)
 
 
 def _reference_repair(cand, B):
@@ -475,7 +498,7 @@ def test_repair_matches_column_passes():
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_heuristic_search_matches_full_grid_scoring(k, monkeypatch):
     """The evolution strategy follows the same trajectory as with the
-    per-column repair and two-index scoring on the full-grid table."""
+    per-column repair and two-index scoring on the occupied-bin table."""
     rng = np.random.default_rng(100 + k)
     cases = [(h, c) for h in (mixture_hist(rng), table_cases()["sparse"],
                               table_cases()["edge-packed"])
@@ -484,12 +507,12 @@ def test_heuristic_search_matches_full_grid_scoring(k, monkeypatch):
     monkeypatch.setattr(thr, "_repair", _reference_repair)
     old = []
     for h, c in cases:
-        table, valid, omq = _class_table(np.asarray(h, dtype=np.float64), c,
-                                         np.arange(len(h)))
+        occ = np.flatnonzero(h)
+        table, omq = _class_table(np.asarray(h, dtype=np.float64)[occ], c, occ)
         monkeypatch.setattr(
             thr, "_batch_scores",
-            lambda _grid, _omq, cand, _cells: _reference_batch_scores(
-                table, valid, omq, cand))
+            lambda _table, _omq, cand, _cells: _reference_batch_scores(
+                table, omq, cand))
         old.append(heuristic_search(h, k, c, seed=k, budget=1500))
     assert repr(new) == repr(old)
 
