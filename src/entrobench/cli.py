@@ -189,7 +189,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("ref")
     p.add_argument("mov")
     _add_entropy_flags(p)
-    p.add_argument("--bins", type=int, default=64)
+    p.add_argument("--bins", type=int, default=64,
+                   help="joint-histogram bins of the full-resolution refinement "
+                        "(a divisor of 256); the coarse first stage uses at most 16")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=2000)
     p.add_argument("--restarts", type=int, default=8)

@@ -3,8 +3,9 @@
 Transforms act about the image center: p' = s R(theta) (p - c) + c + t
 with c = ((W-1)/2, (H-1)/2).  Registration runs a multi-start
 Nelder-Mead descent on the negated generalized mutual information,
-with a half-resolution first stage on large images, and reports NCCC
-and control-point RMSE diagnostics alongside the recovered transform.
+with a coarse first stage sized to the image (decimated to a short side
+of about 64 px, with bins sized to that side), and reports NCCC and
+control-point RMSE diagnostics alongside the recovered transform.
 
 One bilinear warp, ``_Warp``, does all the resampling: ``transform_apply``,
 ``mi_objective`` and the MI evaluator that ``register`` prepares once per
@@ -307,6 +308,21 @@ def _decimate(a: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(blk), 0, 255).astype(np.uint8)
 
 
+def _coarse_stage(shape, bins: int) -> tuple[int, int]:
+    """(halvings, bins) of ``register``'s first stage for an input shape.
+
+    The stage halves the images as often as keeps its short side at
+    least 64 px, and at least once from 64 px up; its bin count is the
+    largest power of two at most a quarter of that side, in [2, bins].
+    """
+    short = min(shape)
+    halvings = 0 if short < 64 else 1
+    while short >> (halvings + 1) >= 64:
+        halvings += 1
+    quarter = (short >> halvings) // 4
+    return halvings, min(bins, 1 << max(quarter.bit_length() - 1, 1))
+
+
 def _simplex(x0: np.ndarray, steps) -> np.ndarray:
     sim = np.tile(x0, (5, 1))
     for i, s in enumerate(steps):
@@ -326,8 +342,13 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
 
     Multi-start Nelder-Mead on -MI: an identity start plus seeded
     restarts from dx,dy in [-10,10], theta in [-0.2,0.2], s in
-    [0.8,1.25].  Images at least 64 px on a side get a half-resolution
-    first stage (60% of budget) before full-resolution refinement.
+    [0.8,1.25].  A coarse first stage (60% of budget) runs before the
+    full-resolution refinement with ``config.bins`` bins.  Images at
+    least 64 px on a side are halved for it as often as keeps its short
+    side at least 64 px, and at least once; the stage's bin count is the
+    largest power of two at most a quarter of its short side, in
+    [2, ``config.bins``].  So 128- and 256-px inputs both get a 64-px,
+    16-bin stage.
     Deterministic for fixed inputs and config; total objective
     evaluations never exceed the budget.  Each evaluation returns
     exactly ``-mi_objective(...)``, or a fixed penalty where the overlap
@@ -347,6 +368,7 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
         raise ValueError(f"budget {config.budget} below minimum 200")
     if config.restarts < 0:
         raise ValueError("restarts must be >= 0")
+    bins = _check_bins(config.bins)
     if r.min() == r.max() or m.min() == m.max():
         # nccc of the result would raise this after the whole search
         raise ValueError("constant image on the valid set")
@@ -359,9 +381,9 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
 
     state = {"n": 0}
 
-    def run_stage(ra, ma, cap, x0s, maxfev, steps, xatol, fatol):
+    def run_stage(ra, ma, stage_bins, cap, x0s, maxfev, steps, xatol, fatol):
         """Nelder-Mead from each start on one evaluator; the best usable point."""
-        evaluate = _MIEvaluator(ra, ma, kind, config.bins)
+        evaluate = _MIEvaluator(ra, ma, kind, stage_bins)
         best = {"val": np.inf, "vec": None}
 
         def objective(vec):
@@ -388,21 +410,24 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
             raise ValueError("insufficient overlap at every restart")
         return best
 
-    # with the pyramid the first stage runs at half resolution, so its
-    # shifts are halved and later doubled; both scalings are exact
-    if min(r.shape) >= 64:
-        ra, ma, zoom, steps = _decimate(r), _decimate(m), 0.5, (1.0, 1.0, 0.04, 0.04)
-    else:
-        ra, ma, zoom, steps = r, m, 1.0, (2.0, 2.0, 0.05, 0.05)
+    # a decimated first stage sees shifts scaled by the zoom, which are
+    # scaled back for the refinement; both scalings by powers of two are exact
+    halvings, stage_bins = _coarse_stage(r.shape, bins)
+    ra, ma = r, m
+    for _ in range(halvings):
+        ra, ma = _decimate(ra), _decimate(ma)
+    zoom = 0.5 ** halvings
+    steps = (2.0 * zoom, 2.0 * zoom) + ((0.04, 0.04) if halvings else (0.05, 0.05))
     coarse_cap = (config.budget * 3) // 5
     scaled = [x0 * np.array([zoom, zoom, 1.0, 1.0]) for x0 in starts]
-    best_stage = run_stage(ra, ma, coarse_cap, scaled, max(20, coarse_cap // len(starts)),
-                           steps, 1e-3, 1e-7)
+    best_stage = run_stage(ra, ma, stage_bins, coarse_cap, scaled,
+                           max(20, coarse_cap // len(starts)), steps, 1e-3, 1e-7)
     # refinement starts from the stage's best point, so it re-evaluates
     # that point first and best_full starts from the stage's value
     x1 = best_stage["vec"] * np.array([1.0 / zoom, 1.0 / zoom, 1.0, 1.0])
-    best_full = run_stage(r, m, config.budget, [x1], max(1, config.budget - state["n"]),
-                          (0.5, 0.5, 0.01, 0.01), 1e-4, 1e-9)
+    best_full = run_stage(r, m, bins, config.budget, [x1],
+                          max(1, config.budget - state["n"]), (0.5, 0.5, 0.01, 0.01),
+                          1e-4, 1e-9)
 
     vec = best_full["vec"]
     T = SimilarityTransform(float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]))

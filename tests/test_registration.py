@@ -11,7 +11,7 @@ from scipy.ndimage import map_coordinates
 from entrobench import registration
 from entrobench.entropy import (EntropyKind, SHANNON, entropy, histogram, joint_histogram,
                                 mutual_information, normalize)
-from entrobench.raster import generate_scene
+from entrobench.raster import generate_scene, median_filter_3x3
 from entrobench.registration import (
     RegisterConfig,
     SimilarityTransform,
@@ -288,7 +288,7 @@ def test_register_with_evaluator_equals_mi_objective_reference(case, monkeypatch
     kinds = (SHANNON, EntropyKind.tsallis(2.0))
     if case == "self-128":
         moving, truth, kinds = ref, I, (SHANNON,)
-    elif case == "crop-50x60":  # under 64 px: no half-resolution stage
+    elif case == "crop-50x60":  # under 64 px: the first stage is not decimated
         ref, moving = ref[30:80, 20:80], moving[30:80, 20:80]
     for kind in kinds:
         fast = register(ref, moving, kind, true_transform=truth)
@@ -298,10 +298,92 @@ def test_register_with_evaluator_equals_mi_objective_reference(case, monkeypatch
         assert result_fields(fast) == result_fields(slow)
 
 
-def test_register_rejects_bins_before_search():
-    img = scene_image(size=64)
-    with pytest.raises(ValueError, match="divisor of 256"):
-        register(img, img, config=RegisterConfig(bins=7))
+def test_register_rejects_bins_before_search(monkeypatch):
+    # the coarse stage caps its bins at 16, so it must not be what checks them
+    def no_search(*args):
+        pytest.fail("search started with a bad bins value")
+
+    monkeypatch.setattr(registration, "_MIEvaluator", no_search)
+    for size, bins in ((64, 7), (256, 7), (256, 512)):
+        img = scene_image(size=size)
+        with pytest.raises(ValueError, match="divisor of 256"):
+            register(img, img, config=RegisterConfig(bins=bins))
+
+
+# (short side, bins at config.bins = 8, 64, 256): halvings and stage bins
+STAGE_TABLE = [
+    (8, 0, (2, 2, 2)),
+    (50, 0, (8, 8, 8)),
+    (63, 0, (8, 8, 8)),
+    (64, 1, (8, 8, 8)),
+    (70, 1, (8, 8, 8)),
+    (100, 1, (8, 8, 8)),
+    (127, 1, (8, 8, 8)),
+    (128, 1, (8, 16, 16)),
+    (255, 1, (8, 16, 16)),
+    (256, 2, (8, 16, 16)),
+    (512, 3, (8, 16, 16)),
+]
+
+
+@pytest.mark.parametrize("short, halvings, stage_bins", STAGE_TABLE)
+@pytest.mark.parametrize("long_side", [None, 300, 1000])
+def test_coarse_stage_rule(short, halvings, stage_bins, long_side):
+    long_side = short if long_side is None else max(short, long_side)
+    for shape in ((short, long_side), (long_side, short)):
+        for bins, expected in zip((8, 64, 256), stage_bins):
+            assert registration._coarse_stage(shape, bins) == (halvings, expected)
+
+
+@pytest.mark.parametrize("shape, stages", [
+    ((256, 256), [((64, 64), 16), ((256, 256), 64)]),
+    ((130, 300), [((65, 150), 16), ((130, 300), 64)]),
+    ((70, 90), [((35, 45), 8), ((70, 90), 64)]),
+    ((50, 60), [((50, 60), 8), ((50, 60), 64)]),
+])
+def test_register_runs_stages_on_rule(shape, stages, monkeypatch):
+    h, w = shape
+    ref = scene_image(w, height=h, seed=0)
+    built = []
+
+    class Recording(registration._MIEvaluator):
+        def __init__(self, ref, moving, kind, bins):
+            built.append((ref.shape, bins))
+            super().__init__(ref, moving, kind, bins)
+
+    monkeypatch.setattr(registration, "_MIEvaluator", Recording)
+    register(ref, ref, config=RegisterConfig(budget=200))
+    assert built == stages
+
+
+@pytest.mark.parametrize("size, seed", [(128, 0), (128, 3), (256, 105)])
+def test_register_recovers_tsallis_shifted_pairs(size, seed):
+    # a half-resolution coarse stage with the full 64 bins missed these
+    # pairs, ending at rmse 8.78, 2.64 and 11.64 px
+    ref, moving, truth = scene_pair("five-region", size, size, 8.0, seed, seed)
+    ref, moving = median_filter_3x3(ref), median_filter_3x3(moving)
+    res = register(ref, moving, EntropyKind.tsallis(2.0), RegisterConfig(seed=seed),
+                   true_transform=truth)
+    assert res.rmse <= 0.5
+    assert res.nccc >= 0.95
+
+
+@settings(max_examples=25, deadline=None)
+@given(h=st.integers(8, 40), w=st.integers(8, 40), levels=st.integers(2, 256),
+       seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS))
+def test_register_small_rasters_finite_or_value_error(h, w, levels, seed, kind):
+    rng = np.random.default_rng(seed)
+    ref, moving = (rng.integers(0, levels, (h, w)).astype(np.uint8) for _ in range(2))
+    for img in (ref, moving):
+        img[0, 0], img[-1, -1] = 0, levels - 1
+    config = RegisterConfig(budget=200, seed=seed % 1000)
+    try:
+        res = register(ref, moving, kind, config)
+    except ValueError:
+        return
+    assert np.isfinite(res.transform.as_vector()).all()
+    assert math.isfinite(res.mi_final) and math.isfinite(res.nccc)
+    assert res.evaluations <= config.budget
 
 
 @pytest.mark.parametrize("flat_side", ["ref", "moving"])
