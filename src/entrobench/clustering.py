@@ -18,8 +18,10 @@ rows, weighted by how many samples share each row: the kernel is u x u
 (u <= 256 for one 8-bit band, u <= n always), the descent state is
 kernel mass per (distinct row, cluster), and the CEF is
 C^T K C over the u x k count matrix C.  No n x n array over samples is
-formed.  Inputs whose u x u kernel would exceed _MAX_KERNEL_BYTES are
-refused with a ValueError before it is allocated.
+formed.  The kernel's squared distances are summed band by band in
+numpy, in scipy's cdist order, so K has cdist's bits.  Inputs whose
+u x u kernel would exceed _MAX_KERNEL_BYTES are refused with a
+ValueError before it is allocated.
 
 ``assignment_to_labelmap`` paints every unsampled pixel with the label
 of its nearest sample, ties to the smallest label, from one exact
@@ -34,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
-from scipy.spatial.distance import cdist
 
 from .entropy import EntropyKind
 from .raster import as_gray
@@ -161,7 +162,17 @@ def _distinct_kernel(f: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarra
         raise ValueError(
             f"{u} distinct feature rows need a {u * u * 8 / 2**20:.0f} MiB "
             f"kernel, over the {_MAX_KERNEL_BYTES >> 20} MiB limit")
-    K = np.exp(-cdist(rows, rows, "sqeuclidean") / (4.0 * sigma * sigma))
+    # squared distances summed band by band, left to right, as scipy's
+    # cdist "sqeuclidean" sums them; one u x u temporary besides K
+    K = np.zeros((u, u))
+    diff = np.empty((u, u))
+    for band in rows.T:
+        np.subtract.outer(band, band, out=diff)
+        diff *= diff
+        K += diff
+    np.negative(K, out=K)
+    K /= 4.0 * sigma * sigma
+    np.exp(K, out=K)
     return K, inv.reshape(-1)
 
 

@@ -3,7 +3,9 @@
 All rasters are single-band 8-bit grayscale, held as 2-D uint8 numpy
 arrays in row-major order.  Multiband data is passed around as a list of
 co-registered rasters.  Scene generation, noise injection, and filtering
-are pure functions of their inputs and seed.
+are pure functions of their inputs and seed.  The 3x3 median is a
+compare-exchange network on uint8 (Paeth 1990), the same values as
+scipy.ndimage.median_filter with mode "nearest".
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import median_filter
 
 __all__ = [
     "PgmError",
@@ -277,7 +278,25 @@ def add_salt_pepper(img, density: float, seed: int) -> np.ndarray:
     return a
 
 
+# Paeth's 19-exchange network: after these compare-exchanges, in order,
+# slot 4 holds the median of the 9 slots (Graphics Gems, 1990)
+_MEDIAN9_NETWORK = ((1, 2), (4, 5), (7, 8), (0, 1), (3, 4), (6, 7),
+                    (1, 2), (4, 5), (7, 8), (0, 3), (5, 8), (4, 7),
+                    (3, 6), (1, 4), (2, 5), (4, 7), (4, 2), (6, 4),
+                    (4, 2))
+
+
+def _median9(p: list) -> np.ndarray:
+    """Elementwise median of 9 equal-shape arrays, by the network."""
+    p = list(p)
+    for i, j in _MEDIAN9_NETWORK:
+        p[i], p[j] = np.minimum(p[i], p[j]), np.maximum(p[i], p[j])
+    return p[4]
+
+
 def median_filter_3x3(img) -> np.ndarray:
     """3x3 median filter with edge replication at the borders."""
     a = as_gray(img)
-    return median_filter(a, size=3, mode="nearest")
+    h, w = a.shape
+    pad = np.pad(a, 1, mode="edge")
+    return _median9([pad[i:i + h, j:j + w] for i in range(3) for j in range(3)])

@@ -5,7 +5,11 @@ with c = ((W-1)/2, (H-1)/2).  Registration runs a multi-start
 Nelder-Mead descent on the negated generalized mutual information,
 with a coarse first stage sized to the image (decimated to a short side
 of about 64 px, with bins sized to that side), and reports NCCC and
-control-point RMSE diagnostics alongside the recovered transform.
+control-point RMSE diagnostics alongside the recovered transform.  The
+descent, ``_nelder_mead``, is an in-package port of scipy.optimize's
+Nelder-Mead (Nelder and Mead 1965) that calls the objective at the same
+points in the same order, so the search does not depend on the
+installed scipy.
 
 One bilinear warp, ``_Warp``, does all the resampling: ``transform_apply``,
 ``mi_objective`` and the MI evaluator that ``register`` prepares once per
@@ -19,7 +23,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 # joint_histogram and mutual_information stay bound here for bench/run.py's tracer
 from .entropy import (SHANNON, EntropyKind, _check_bins, _mutual_information,  # noqa: F401
@@ -330,8 +333,75 @@ def _simplex(x0: np.ndarray, steps) -> np.ndarray:
     return sim
 
 
-class _BudgetExhausted(Exception):
-    pass
+def _nelder_mead(f, sim: np.ndarray, maxfev: int, xatol: float, fatol: float):
+    """Nelder-Mead from an (N+1, N) initial simplex; the final (sim, fsim).
+
+    A port of scipy.optimize's ``_minimize_neldermead`` as ``register``
+    uses it: an initial simplex, ``maxfev``, not adaptive and no bounds.
+    It keeps scipy's coefficients, steps, convergence test and
+    argsort/take sorts, so it calls f at the same points in the same
+    order and ends on the same simplex.  It stops after ``maxfev`` calls
+    of f, or once every vertex lies within ``xatol`` of the best in each
+    coordinate and within ``fatol`` of its value.  f takes a vertex,
+    which it must not modify, and returns a float.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.array(sim, dtype=np.float64)
+    N = sim.shape[1]
+    calls = 0
+
+    def evaluate(x):
+        nonlocal calls
+        calls += 1
+        return f(x)
+
+    fsim = np.full((N + 1,), np.inf)
+    for k in range(min(N + 1, maxfev)):
+        fsim[k] = evaluate(sim[k])
+    # scipy sorts twice here; the default argsort is not stable on every
+    # CPU, so the second sort may reorder tied values
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    while calls < maxfev:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = evaluate(xr)
+        if not fxr < fsim[0] and fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif calls < maxfev:  # scipy drops a step whose next call is over budget
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = evaluate(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            else:
+                if fxr < fsim[-1]:
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = evaluate(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = evaluate(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    # shrink toward the best vertex; scipy moves a vertex
+                    # before the call that the budget may refuse
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        if calls == maxfev:
+                            break
+                        fsim[j] = evaluate(sim[j])
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim, fsim
 
 
 def register(ref, moving, kind: EntropyKind = SHANNON,
@@ -387,8 +457,6 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
         best = {"val": np.inf, "vec": None}
 
         def objective(vec):
-            if state["n"] >= cap:
-                raise _BudgetExhausted
             state["n"] += 1
             s = min(max(float(vec[3]), _SCALE_LO), _SCALE_HI)
             T = SimilarityTransform(float(vec[0]), float(vec[1]), float(vec[2]), s)
@@ -399,13 +467,10 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
                 best["vec"] = np.array([vec[0], vec[1], vec[2], s])
             return val
 
-        try:
-            for x0 in x0s:
-                minimize(objective, x0, method="Nelder-Mead",
-                         options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol,
-                                  "initial_simplex": _simplex(x0, steps)})
-        except _BudgetExhausted:
-            pass
+        # once the cap is spent, later starts get no evaluations
+        for x0 in x0s:
+            _nelder_mead(objective, _simplex(x0, steps),
+                         min(maxfev, cap - state["n"]), xatol, fatol)
         if best["vec"] is None:
             raise ValueError("insufficient overlap at every restart")
         return best

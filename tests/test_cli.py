@@ -1,8 +1,14 @@
 """End-to-end tests for the command-line front end."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import entrobench
 from entrobench.cli import main
 from entrobench.entropy import EntropyKind
 from entrobench.harness import (CSV_HEADER, ClusterParams, ThresholdParams,
@@ -37,6 +43,19 @@ def test_version_reports_schema(capsys):
     out = capsys.readouterr().out
     assert out.startswith("entrobench ")
     assert "csv schema 1" in out
+
+
+def test_import_loads_no_scipy_optimize_or_spatial():
+    """Start-up cost: importing the CLI must not pull in scipy.optimize
+    or scipy.spatial.  The child imports the package these tests import."""
+    src = str(Path(entrobench.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import entrobench.cli, sys; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'spatial'])))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verb_is_required(capsys):

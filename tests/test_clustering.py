@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from entrobench import clustering
 from entrobench.clustering import (
@@ -492,6 +495,18 @@ def test_descent_matches_array_state_oracle_on_scene(monkeypatch):
     img, _ = generate_scene(
         five_region_spec(width=128, height=128, noise=8.0), seed=4)
     assert_same_descent(extract_features([img], stride=4), 5, 0, monkeypatch)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 120), d=st.integers(1, 3), levels=st.integers(2, 256),
+       sigma=st.floats(1e-3, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_distinct_kernel_equals_cdist_kernel(n, d, levels, sigma, seed):
+    f = repeated_values(n, d, levels, seed)
+    K, inv = clustering._distinct_kernel(f, sigma)
+    rows = np.unique(f, axis=0)
+    np.testing.assert_array_equal(rows[inv], f)
+    want = np.exp(-cdist(rows, rows, "sqeuclidean") / (4.0 * sigma * sigma))
+    assert K.tobytes() == want.tobytes()
 
 
 def test_kernel_memory_guard():

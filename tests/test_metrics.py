@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrobench.metrics import align_labels, confusion, kappa, overall_accuracy
 
@@ -140,3 +142,30 @@ def test_align_never_decreases_diagonal():
 def test_align_shape_mismatch():
     with pytest.raises(ValueError):
         align_labels(np.array([0, 1]), np.array([0, 1, 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.integers(1, 12), w=st.integers(1, 12), classes=st.integers(1, 10),
+       seed=st.integers(0, 2**32 - 1))
+def test_metrics_on_random_label_maps(h, w, classes, seed):
+    """kappa lands in [-1, 1] or raises ValueError; accuracy is the
+    agreeing fraction; alignment relabels and never loses agreement."""
+    rng = np.random.default_rng(seed)
+    pred, truth = rng.integers(0, classes, (2, h, w))
+    cm = confusion(pred, truth)
+    assert cm.sum() == h * w
+    assert overall_accuracy(cm) == (pred == truth).mean()
+    try:
+        assert -1.0 <= kappa(cm) <= 1.0
+    except ValueError:
+        assert len(np.unique(pred)) == len(np.unique(truth)) == 1
+    try:
+        aligned = align_labels(pred, truth)
+    except ValueError:
+        assert max(pred.max(), truth.max()) + 1 > 8
+        return
+    assert aligned.shape == pred.shape
+    assert (aligned == truth).sum() >= (pred == truth).sum()
+    # a relabeling: equal predictions stay equal and distinct ones distinct
+    pairs = set(zip(pred.ravel().tolist(), aligned.ravel().tolist()))
+    assert len(pairs) == len({p for p, _ in pairs}) == len({a for _, a in pairs})

@@ -1,10 +1,14 @@
 """Raster I/O, scene generation, and pre-processing tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import median_filter
 
+from entrobench import raster
 from entrobench.entropy import entropy, histogram, normalize
 from entrobench.raster import (
     PgmError,
@@ -245,6 +249,24 @@ def test_median_output_subset_of_input_values():
     img = rng.choice([10, 80, 200], size=(32, 32)).astype(np.uint8)
     out = median_filter_3x3(img)
     assert set(np.unique(out)) <= set(np.unique(img))
+
+
+def test_median_network_on_every_binary_input():
+    """The network takes the majority of all 512 binary 9-tuples, so by
+    the 0-1 principle it takes the median of any 9 values."""
+    cols = np.array(list(itertools.product((0, 1), repeat=9)), dtype=np.uint8).T
+    out = raster._median9(list(cols))
+    np.testing.assert_array_equal(out, (cols.sum(axis=0) >= 5).astype(np.uint8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.integers(1, 40), w=st.integers(1, 40), levels=st.integers(2, 256),
+       seed=st.integers(0, 2**32 - 1))
+def test_median_matches_scipy_median_filter(h, w, levels, seed):
+    img = np.random.default_rng(seed).integers(0, levels, (h, w)).astype(np.uint8)
+    out = median_filter_3x3(img)
+    assert out.dtype == np.uint8
+    np.testing.assert_array_equal(out, median_filter(img, size=3, mode="nearest"))
 
 
 def test_median_restores_salted_scene():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import map_coordinates
+from scipy.optimize import minimize
 
 from entrobench import registration
 from entrobench.entropy import (EntropyKind, SHANNON, entropy, histogram, joint_histogram,
@@ -384,6 +385,111 @@ def test_register_small_rasters_finite_or_value_error(h, w, levels, seed, kind):
     assert np.isfinite(res.transform.as_vector()).all()
     assert math.isfinite(res.mi_final) and math.isfinite(res.nccc)
     assert res.evaluations <= config.budget
+
+
+def scipy_nelder_mead(f, sim, maxfev, xatol, fatol):
+    """registration._nelder_mead by scipy.optimize.minimize: the final simplex."""
+    res = minimize(f, sim[0], method="Nelder-Mead",
+                   options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol,
+                            "initial_simplex": sim})
+    return res.final_simplex
+
+
+def recorded(f):
+    """f, and the list of the points it has been called at, as bytes."""
+    points = []
+
+    def g(x):
+        points.append(np.asarray(x, dtype=np.float64).tobytes())
+        return f(x)
+
+    return g, points
+
+
+def nm_simplex(x0):
+    """x0 and one vertex per axis, stepped by 0.5, 0.25, 0.1, 0.7."""
+    return np.vstack([x0, x0 + np.diag([0.5, 0.25, 0.1, 0.7][:x0.size])])
+
+
+NM_OBJECTIVES = {
+    "sphere": lambda x: float(np.sum((x - 3.0) ** 2)),
+    "rosenbrock": lambda x: float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                                         + (1.0 - x[:-1]) ** 2)),
+    "abs": lambda x: float(np.abs(x - 0.3).sum()),
+    # plateaus: many vertices and trial points tie
+    "terraces": lambda x: float(np.floor(2.0 * np.sum(x * x))),
+    # every trial ties, so every step is a rejected contraction and a shrink
+    "flat": lambda x: 1.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NM_OBJECTIVES))
+@pytest.mark.parametrize("dim", [2, 4])
+def test_nelder_mead_evaluates_as_scipy(name, dim):
+    """The port calls f at scipy's points in scipy's order and ends on its
+    simplex.  maxfev 0-12 cuts runs inside the initial simplex (up to
+    dim + 1 calls), after a reflection that an expansion or contraction
+    would follow, and inside a shrink; the largest runs to convergence."""
+    f = NM_OBJECTIVES[name]
+    sim = nm_simplex(np.linspace(-1.2, 0.8, dim))
+    for maxfev in list(range(0, 13)) + [40, 5000]:
+        for xatol, fatol in ((1e-4, 1e-9), (1e-2, 1e-3)):
+            port, got = recorded(f)
+            ref, want = recorded(f)
+            sim_a, fsim_a = registration._nelder_mead(port, sim, maxfev, xatol, fatol)
+            sim_b, fsim_b = scipy_nelder_mead(ref, sim, maxfev, xatol, fatol)
+            assert got == want
+            assert len(got) <= maxfev
+            assert sim_a.tobytes() == sim_b.tobytes()
+            assert fsim_a.tobytes() == fsim_b.tobytes()
+
+
+def test_nelder_mead_cuts_cover_every_step():
+    """The budget cuts above stop inside an expansion and inside a shrink:
+    on a 2-D simplex, the sphere's 5th call is an expansion and the flat
+    objective's 6th call is the first of a shrink's two."""
+    sim = nm_simplex(np.array([-1.2, 0.8]))
+    sphere = NM_OBJECTIVES["sphere"]
+    port, points = recorded(sphere)
+    registration._nelder_mead(port, sim, 5, 1e-4, 1e-9)
+    best, mid, worst = sim[np.argsort([sphere(v) for v in sim])]
+    xbar = (best + mid) / 2
+    xr, xe = (np.frombuffer(p) for p in points[3:5])
+    np.testing.assert_allclose(xr, 2 * xbar - worst)
+    np.testing.assert_allclose(xe, 3 * xbar - 2 * worst)
+    port, points = recorded(NM_OBJECTIVES["flat"])
+    registration._nelder_mead(port, sim, 6, 1e-4, 1e-9)
+    assert len(points) == 6
+    shrunk = np.frombuffer(points[5])
+    assert any(np.array_equal(shrunk, sim[i] + 0.5 * (sim[j] - sim[i]))
+               for i in range(3) for j in range(3) if i != j)
+
+
+@pytest.mark.parametrize("config", [
+    RegisterConfig(),
+    RegisterConfig(budget=200, restarts=8),
+    RegisterConfig(budget=300, restarts=20),
+    RegisterConfig(restarts=0),
+], ids=["default", "budget200-restarts8", "budget300-restarts20", "restarts0"])
+def test_register_equals_scipy_nelder_mead(config, monkeypatch):
+    ref, moving, truth = scene_pair("five-region", 128, 128, 8.0, 1, 2)
+    ref, moving = median_filter_3x3(ref), median_filter_3x3(moving)
+    budgets = []
+
+    def reference(f, sim, maxfev, xatol, fatol):
+        budgets.append(maxfev)
+        return scipy_nelder_mead(f, sim, maxfev, xatol, fatol)
+
+    fast = register(ref, moving, SHANNON, config, true_transform=truth)
+    with monkeypatch.context() as mp:
+        mp.setattr(registration, "_nelder_mead", reference)
+        slow = register(ref, moving, SHANNON, config, true_transform=truth)
+    assert result_fields(fast) == result_fields(slow)
+    coarse = budgets[:-1]
+    assert len(coarse) == config.restarts + 1
+    if config.budget < 2000:
+        # the coarse cap cut a start short
+        assert min(coarse) < coarse[0]
 
 
 @pytest.mark.parametrize("flat_side", ["ref", "moving"])

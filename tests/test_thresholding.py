@@ -1,9 +1,12 @@
 """Multilevel threshold selection tests with enumeration oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrobench.entropy import EntropyKind
 from entrobench.metrics import align_labels, confusion, kappa
@@ -586,3 +589,56 @@ def test_rising_limb_on_zero_noise_scene():
         pred = align_labels(apply_thresholds(img, t).ravel(), truth.ravel())
         kappas.append(kappa(confusion(pred, truth.ravel())))
     assert kappas[3] >= max(kappas[:3])
+
+
+# ------------------------------------------------------ property coverage
+
+PROPERTY_CRITERIA = [Criterion.max_entropy(kind) for kind in (
+    EntropyKind.shannon(), EntropyKind.renyi(0.5), EntropyKind.renyi(2.0),
+    EntropyKind.tsallis(0.5), EntropyKind.tsallis(2.0))] + [CROSS_C]
+
+# 2-64 bins of zeros, single counts and counts up to 1e6
+histograms = st.lists(st.sampled_from([0, 1]) | st.integers(0, 10**6),
+                      min_size=2, max_size=64).map(
+                          lambda c: np.array(c, dtype=np.int64))
+
+
+def assert_scored_tuple(h, t, value, criterion):
+    """A search result: finite, on occupied bins, and scored as its tuple."""
+    assert math.isfinite(value)
+    assert all(h[x] > 0 for x in t)
+    assert value == criterion_value(h, t, criterion)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=histograms, criterion=st.sampled_from(PROPERTY_CRITERIA),
+       t=st.lists(st.integers(-1, 64), min_size=1, max_size=5, unique=True).map(sorted))
+def test_criterion_value_finite_or_value_error(h, criterion, t):
+    try:
+        value = criterion_value(h, t, criterion)
+    except ValueError:
+        return
+    assert math.isfinite(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=histograms, k=st.integers(1, 5), criterion=st.sampled_from(PROPERTY_CRITERIA))
+def test_exhaustive_search_finite_or_value_error(h, k, criterion):
+    try:
+        t, value = exhaustive_search(h, k, criterion)
+    except ValueError:
+        return
+    assert len(t) == k
+    assert_scored_tuple(h, t, value, criterion)
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=histograms, k=st.integers(1, 5), criterion=st.sampled_from(PROPERTY_CRITERIA),
+       seed=st.integers(0, 2**32 - 1))
+def test_heuristic_search_finite_or_value_error(h, k, criterion, seed):
+    try:
+        t, value = heuristic_search(h, k, criterion, seed=seed, budget=300)
+    except ValueError:
+        return
+    assert len(t) == k
+    assert_scored_tuple(h, t, value, criterion)
