@@ -16,16 +16,17 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .entropy import SHANNON, EntropyKind
-from .harness import (CSV_HEADER, SCHEMA_VERSION, ClusterParams,
-                      RegisterParams, ThresholdParams, emit_csv, format_row,
-                      parse_config, run_cluster_cell, run_matrix,
+from .entropy import EntropyKind
+from .harness import (CSV_HEADER, SCHEMA_VERSION, ClusterParams, DatasetSpec,
+                      ThresholdParams, emit_csv, format_row, parse_config,
+                      parse_entropy, run_cluster_cell, run_matrix,
                       run_register_cell, run_threshold_cell)
 from .raster import decode_pgm, encode_pgm, median_filter_3x3
-from .registration import SimilarityTransform
+from .registration import RegisterConfig, SimilarityTransform
 from .scenes import SCENE_NAMES, named_scene, scene_pair
 
 _ENTROPY_CHOICES = ("shannon", "renyi", "tsallis")
+_ORDER_FLAGS = {"renyi": "alpha", "tsallis": "q"}
 
 
 def _add_entropy_flags(p: argparse.ArgumentParser):
@@ -38,21 +39,18 @@ def _add_entropy_flags(p: argparse.ArgumentParser):
 
 
 def _entropy_from_args(parser, args) -> EntropyKind:
-    if args.entropy == "shannon":
-        if args.alpha is not None:
-            parser.error("--alpha is not valid with --entropy shannon")
-        if args.q is not None:
-            parser.error("--q is not valid with --entropy shannon")
-        return SHANNON
-    if args.entropy == "renyi":
-        if args.q is not None:
-            parser.error("--q is not valid with --entropy renyi; use --alpha")
-        return EntropyKind.renyi(args.alpha) if args.alpha is not None \
-            else EntropyKind.renyi()
-    if args.alpha is not None:
-        parser.error("--alpha is not valid with --entropy tsallis; use --q")
-    return EntropyKind.tsallis(args.q) if args.q is not None \
-        else EntropyKind.tsallis()
+    """The kind as the spec ``name[:order]``; misuse exits with usage."""
+    name = args.entropy
+    own = _ORDER_FLAGS.get(name)
+    for flag in ("alpha", "q"):
+        if flag != own and getattr(args, flag) is not None:
+            hint = f"; use --{own}" if own else ""
+            parser.error(f"--{flag} is not valid with --entropy {name}{hint}")
+    order = getattr(args, own) if own else None
+    try:
+        return parse_entropy(name if order is None else f"{name}:{order!r}")
+    except ValueError as e:
+        parser.error(str(e))
 
 
 def _load_pgm(path: str):
@@ -96,7 +94,7 @@ def _cmd_register(args, parser) -> int:
             t_true = SimilarityTransform(*(float(x) for x in parts))
         except ValueError as e:
             parser.error(f"bad --true-transform: {e}")
-    params = RegisterParams(bins=args.bins, budget=args.budget,
+    params = RegisterConfig(bins=args.bins, budget=args.budget,
                             restarts=args.restarts)
     rows = run_register_cell(ref, mov, t_true, args.kind, params,
                              args.seed, Path(args.ref).stem)
@@ -165,19 +163,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("image", help="input PGM")
     p.add_argument("--truth", help="ground-truth label PGM")
     _add_entropy_flags(p)
-    p.add_argument("--levels", type=int, default=2, help="threshold count")
+    p.add_argument("--levels", type=int, default=ThresholdParams.levels[0],
+                   help="threshold count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=5000,
+    p.add_argument("--budget", type=int, default=ThresholdParams.budget,
                    help="heuristic-search evaluation budget")
     p.add_argument("--search", choices=("exhaustive", "heuristic"),
-                   default="exhaustive",
+                   default=ThresholdParams.search,
                    help="exhaustive: the exact search wherever it is exact "
                         "(additive criteria at every level, Tsallis up to "
                         "3), the evolution strategy otherwise (Tsallis at "
                         "4-5); heuristic: the evolution strategy at every "
                         "level")
     p.add_argument("--criterion", choices=("max-entropy", "cross-entropy"),
-                   default="max-entropy")
+                   default=ThresholdParams.criterion)
     p.add_argument("--truth-points", type=int, default=0,
                    help="evaluate on n sampled truth points per class")
     p.add_argument("--no-preprocess", action="store_true",
@@ -189,12 +188,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("ref")
     p.add_argument("mov")
     _add_entropy_flags(p)
-    p.add_argument("--bins", type=int, default=64,
+    p.add_argument("--bins", type=int, default=RegisterConfig.bins,
                    help="joint-histogram bins of the full-resolution refinement "
                         "(a divisor of 256); the coarse first stage uses at most 16")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--seed", type=int, default=RegisterConfig.seed)
+    p.add_argument("--budget", type=int, default=RegisterConfig.budget)
+    p.add_argument("--restarts", type=int, default=RegisterConfig.restarts)
     p.add_argument("--true-transform",
                    help="ground truth as dx,dy,theta,s for the rmse row")
     p.add_argument("--no-preprocess", action="store_true")
@@ -205,11 +204,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("image")
     p.add_argument("--truth")
     _add_entropy_flags(p)
-    p.add_argument("--k", type=int, default=5, help="cluster count")
-    p.add_argument("--stride", type=int, default=0, help="0 = auto")
-    p.add_argument("--sigma", type=float, default=0.0, help="0 = Silverman")
+    p.add_argument("--k", type=int, default=ClusterParams.k, help="cluster count")
+    p.add_argument("--stride", type=int, default=ClusterParams.stride,
+                   help="sample stride (default or 0: auto, about 4096 samples)")
+    p.add_argument("--sigma", type=float, default=ClusterParams.sigma,
+                   help="kernel width (default or 0: Silverman's rule)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=2)
+    p.add_argument("--restarts", type=int, default=ClusterParams.restarts)
     p.add_argument("--truth-points", type=int, default=0)
     p.add_argument("--no-preprocess", action="store_true")
     p.add_argument("--out")
@@ -222,10 +223,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="write a synthetic scene (and pair)")
     p.add_argument("--spec", choices=SCENE_NAMES, required=True)
-    p.add_argument("--width", type=int, default=256)
-    p.add_argument("--height", type=int, default=256)
-    p.add_argument("--noise", type=float, default=8.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--width", type=int, default=DatasetSpec.width)
+    p.add_argument("--height", type=int, default=DatasetSpec.height)
+    p.add_argument("--noise", type=float, default=DatasetSpec.noise)
+    p.add_argument("--seed", type=int, default=DatasetSpec.seed)
     p.add_argument("--pair-seed", type=int, default=None,
                    help="also write ref/mov/transform for registration")
     p.add_argument("--out", required=True)

@@ -150,6 +150,13 @@ def _as_matrix(xs) -> np.ndarray:
     return f
 
 
+def _check_sigma(sigma: float) -> None:
+    # the kernel divides squared distances by 4 sigma^2: a NaN sigma, or
+    # one so small that 4 sigma^2 underflows to 0, fills it with NaN
+    if not (0.0 < sigma < np.inf and 4.0 * sigma * sigma > 0.0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+
+
 def _distinct_kernel(f: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Kernel over the distinct rows of f, and each sample's row index.
 
@@ -185,8 +192,7 @@ def _value_counts(inv: np.ndarray, labels: np.ndarray, u: int, k: int) -> np.nda
 def information_potential(xs, sigma: float) -> float:
     """V(X) = (1/n^2) sum_ij exp(-|xi-xj|^2 / (4 sigma^2)), in (0, 1]."""
     f = _as_matrix(xs)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     K, inv = _distinct_kernel(f, sigma)
     w = np.bincount(inv, minlength=K.shape[0]).astype(np.float64)
     n = f.shape[0]
@@ -218,8 +224,7 @@ def cef(a: ClusterAssignment, xs: FeatureSet, sigma: float,
     every kind except Tsallis, which reports the separation sum of
     (1 - potential) per cluster pair.  Ranking always uses plain CEF.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     if a.labels.size != xs.n:
         raise ValueError("assignment does not cover the feature set")
     K, inv = _distinct_kernel(xs.features, sigma)
@@ -381,8 +386,7 @@ def cluster(xs: FeatureSet, k: int, sigma: float | None = None,
         raise ValueError("restarts must be >= 1")
     if sigma is None:
         sigma = silverman_sigma(xs)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     f = xs.features
     proj = _principal_projection(f)
     K, inv = _distinct_kernel(f, sigma)

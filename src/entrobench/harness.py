@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import configparser
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .clustering import (assignment_to_labelmap, cluster, extract_features,
-                         silverman_sigma)
+from .clustering import assignment_to_labelmap, cluster, extract_features
 from .entropy import SHANNON, EntropyKind, entropy, histogram, normalize
 from .metrics import align_labels, confusion, kappa, overall_accuracy
 from .raster import decode_pgm, median_filter_3x3
@@ -128,19 +127,17 @@ class ThresholdParams:
         _reject_repeats("threshold level", self.levels)
 
 
-@dataclass(frozen=True)
-class RegisterParams:
-    bins: int = 64
-    budget: int = 2000
-    restarts: int = 8
+# the [register] section is the registration config itself; its seed
+# is the cell's, set per run
+RegisterParams = RegisterConfig
 
 
 @dataclass(frozen=True)
 class ClusterParams:
     k: int = 5
-    stride: int | None = None  # None: pick so samples stay near 4096 (descent time)
+    stride: int | None = None  # None or 0: keep samples near 4096 (descent time)
     restarts: int = 2
-    sigma: float | None = None  # None: Silverman default
+    sigma: float | None = None  # None or 0: Silverman's rule
 
 
 @dataclass(frozen=True)
@@ -176,7 +173,7 @@ class RunConfig:
     preprocess: bool = True
     truth_points: int | None = None
     threshold: ThresholdParams = field(default_factory=ThresholdParams)
-    register: RegisterParams = field(default_factory=RegisterParams)
+    register: RegisterConfig = field(default_factory=RegisterConfig)
     cluster: ClusterParams = field(default_factory=ClusterParams)
 
     def __post_init__(self):
@@ -221,6 +218,30 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"bad boolean {value!r}")
 
 
+def _levels(value: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in value.split())
+
+
+def _auto(read):
+    """A reader that maps "auto" to None, the task's own choice."""
+    return lambda value: None if value == "auto" else read(value)
+
+
+# a reader per key of each parameter section, keyed like the section's
+# dataclass fields; a key a config leaves out keeps its dataclass
+# default, and any other key fails instead of being ignored
+_PARAM_SECTIONS = {
+    "threshold": (ThresholdParams, {"levels": _levels, "search": str,
+                                    "budget": int, "criterion": str}),
+    "register": (RegisterConfig, {"bins": int, "budget": int, "restarts": int}),
+    "cluster": (ClusterParams, {"k": int, "stride": _auto(int),
+                                "restarts": int, "sigma": _auto(float)}),
+}
+_RUN_KEYS = {"tasks", "entropies", "seeds", "out", "preprocess", "truth_points"}
+_SCENE_KEYS = {"width": int, "height": int, "noise": float, "seed": int,
+               "pair_seed": int}
+
+
 def _parse_dataset(name: str, value: str) -> DatasetSpec:
     tokens = value.split()
     if not tokens:
@@ -233,15 +254,11 @@ def _parse_dataset(name: str, value: str) -> DatasetSpec:
         k, v = tok.split("=", 1)
         opts[k] = v
     if head.startswith("scene:"):
-        allowed = {"width", "height", "noise", "seed", "pair_seed"}
-        bad = set(opts) - allowed
+        bad = set(opts) - set(_SCENE_KEYS)
         if bad:
             raise ValueError(f"dataset {name}: unknown keys {sorted(bad)}")
-        return DatasetSpec(
-            name=name, source="scene", scene=head[len("scene:"):],
-            width=int(opts.get("width", 256)), height=int(opts.get("height", 256)),
-            noise=float(opts.get("noise", 8.0)), seed=int(opts.get("seed", 0)),
-            pair_seed=int(opts["pair_seed"]) if "pair_seed" in opts else None)
+        return DatasetSpec(name=name, source="scene", scene=head[len("scene:"):],
+                           **{k: _SCENE_KEYS[k](v) for k, v in opts.items()})
     if head.startswith("file:"):
         allowed = {"truth", "mov"}
         bad = set(opts) - allowed
@@ -252,26 +269,21 @@ def _parse_dataset(name: str, value: str) -> DatasetSpec:
     raise ValueError(f"dataset {name}: expected scene:<name> or file:<path>")
 
 
-# the keys each config section may hold, so a typo fails instead of
-# falling back to a default; [datasets] keys are dataset names
-_SECTION_KEYS = {
-    "run": {"tasks", "entropies", "seeds", "out", "preprocess", "truth_points"},
-    "threshold": {"levels", "search", "budget", "criterion"},
-    "register": {"bins", "budget", "restarts"},
-    "cluster": {"k", "stride", "restarts", "sigma"},
-}
-
-
 def parse_config(path) -> RunConfig:
     """Read a sectioned key = value config file into a RunConfig."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     text = Path(path).read_text(encoding="utf-8")
     cp.read_string(text, source=str(path))
+    # [datasets] keys are dataset names
     for name in [n for n in cp.sections() if n != "datasets"]:
-        if name not in _SECTION_KEYS:
+        if name == "run":
+            keys = _RUN_KEYS
+        elif name in _PARAM_SECTIONS:
+            keys = set(_PARAM_SECTIONS[name][1])
+        else:
             raise ValueError(f"config: unknown section [{name}]")
-        bad = set(cp[name]) - _SECTION_KEYS[name]
+        bad = set(cp[name]) - keys
         if bad:
             raise ValueError(f"config [{name}]: unknown keys {sorted(bad)}")
     if "run" not in cp:
@@ -287,31 +299,13 @@ def parse_config(path) -> RunConfig:
     seeds = tuple(int(s) for s in run["seeds"].split())
     datasets = tuple(_parse_dataset(n, v) for n, v in cp["datasets"].items())
     tp = int(run.get("truth_points", "0"))
-
-    def section(name):
-        return cp[name] if name in cp else {}
-
-    th = section("threshold")
-    thp = ThresholdParams(
-        levels=tuple(int(x) for x in th.get("levels", "2").split()),
-        search=th.get("search", "exhaustive"),
-        budget=int(th.get("budget", "5000")),
-        criterion=th.get("criterion", "max-entropy"))
-    rg = section("register")
-    rgp = RegisterParams(bins=int(rg.get("bins", "64")),
-                         budget=int(rg.get("budget", "2000")),
-                         restarts=int(rg.get("restarts", "8")))
-    cl = section("cluster")
-    sigma = cl.get("sigma", "auto")
-    clp = ClusterParams(k=int(cl.get("k", "5")),
-                        stride=(None if cl.get("stride", "auto") == "auto"
-                                else int(cl.get("stride", "auto"))),
-                        restarts=int(cl.get("restarts", "2")),
-                        sigma=None if sigma == "auto" else float(sigma))
+    params = {}
+    for name, (cls, readers) in _PARAM_SECTIONS.items():
+        values = cp[name] if name in cp else {}
+        params[name] = cls(**{k: readers[k](v) for k, v in values.items()})
     return RunConfig(tasks=tasks, kinds=kinds, datasets=datasets, seeds=seeds,
                      out=run.get("out"), preprocess=_parse_bool(run.get("preprocess", "on")),
-                     truth_points=tp if tp > 0 else None,
-                     threshold=thp, register=rgp, cluster=clp)
+                     truth_points=tp if tp > 0 else None, **params)
 
 
 @dataclass
@@ -421,16 +415,16 @@ def run_threshold_cell(img, truth, kind: EntropyKind | None,
 
 
 def run_register_cell(ref, mov, t_true, kind: EntropyKind,
-                      params: RegisterParams, seed: int, dataset: str
+                      params: RegisterConfig, seed: int, dataset: str
                       ) -> list[ReportRow]:
     """One registration cell: recover the transform, report quality.
 
-    The nccc row shows the value clamped at 0 (table convention); the
-    raw correlation stays available from register() itself.
+    The cell's seed replaces ``params.seed``.  The nccc row shows the
+    value clamped at 0 (table convention); the raw correlation stays
+    available from register() itself.
     """
-    cfg = RegisterConfig(bins=params.bins, budget=params.budget,
-                         restarts=params.restarts, seed=seed)
-    res = register(ref, mov, kind, cfg, true_transform=t_true)
+    res = register(ref, mov, kind, replace(params, seed=seed),
+                   true_transform=t_true)
     return _rows("register", kind, dataset, "-", seed, res.runtime,
                  nccc=max(res.nccc, 0.0), rmse=res.rmse)
 
@@ -465,12 +459,11 @@ def run_cluster_cell(img, truth, kind: EntropyKind, params: ClusterParams,
     aligned label map.  Without ground truth only the score row is
     produced.
     """
-    stride = params.stride if params.stride else _auto_stride(img.shape)
+    stride = params.stride or _auto_stride(img.shape)
     t0 = time.perf_counter()
     xs = extract_features([img], stride)
-    sigma = params.sigma if params.sigma else silverman_sigma(xs)
-    assignment, cef_val = cluster(xs, params.k, sigma, seed=seed,
-                                  restarts=params.restarts)
+    assignment, cef_val = cluster(xs, params.k, params.sigma or None,
+                                  seed=seed, restarts=params.restarts)
     labelmap = assignment_to_labelmap(assignment, xs, img.shape)
     elapsed = time.perf_counter() - t0
     if kind.name == "renyi":

@@ -3,9 +3,8 @@
 Kappa and overall accuracy are computed in exact integer arithmetic
 before the final division, so textbook cases come out exact.  Label
 alignment exists because unsupervised cluster labels are arbitrary:
-it permutes predicted labels to maximize diagonal mass, exhaustively
-for up to 5 classes and greedily (guarded to never fall below the
-unaligned diagonal) for 6 to 8.
+it permutes predicted labels to maximize diagonal mass, scoring every
+permutation of up to 8 classes.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 __all__ = ["confusion", "overall_accuracy", "kappa", "align_labels"]
 
 _MAX_CLASSES = 8
-_EXHAUSTIVE_LIMIT = 5
 
 
 def _as_labels(a) -> np.ndarray:
@@ -79,32 +77,12 @@ def kappa(cm) -> float:
     return (n * tr - se) / (n * n - se)
 
 
-def _greedy_permutation(cm: np.ndarray, k: int) -> list[int]:
-    """Largest-entries-first matching; ties to the smallest (i, j)."""
-    perm = [-1] * k
-    free_rows = set(range(k))
-    free_cols = set(range(k))
-    while free_cols:
-        best = None
-        for i in sorted(free_rows):
-            for j in sorted(free_cols):
-                v = int(cm[i, j])
-                if best is None or v > best[0]:
-                    best = (v, i, j)
-        _, i, j = best
-        perm[j] = i
-        free_rows.discard(i)
-        free_cols.discard(j)
-    return perm
-
-
 def align_labels(pred, truth) -> np.ndarray:
     """Permute predicted labels to maximize agreement with truth.
 
-    Exhaustive over permutations up to 5 classes (ties resolve to the
-    lexicographically smallest permutation); greedy above, kept only if
-    it beats the identity.  The aligned diagonal never falls below the
-    unaligned one.
+    Scores all k! permutations at once, so the aligned diagonal is the
+    largest any relabeling reaches; ties resolve to the lexicographically
+    smallest permutation.
     """
     p = _as_labels(pred)
     t = _as_labels(truth)
@@ -113,21 +91,9 @@ def align_labels(pred, truth) -> np.ndarray:
     k = int(max(p.max(), t.max())) + 1
     if k > _MAX_CLASSES:
         raise ValueError(f"{k} classes exceed the supported {_MAX_CLASSES}")
-    if k == 1:
-        return p.copy()
     cm = confusion(p, t)
-    cols = np.arange(k)
-    if k <= _EXHAUSTIVE_LIMIT:
-        best_perm, best_diag = None, -1
-        for perm in permutations(range(k)):
-            diag = int(cm[perm, cols].sum())
-            if diag > best_diag:
-                best_perm, best_diag = perm, diag
-        perm = list(best_perm)
-    else:
-        perm = _greedy_permutation(cm, k)
-        identity_diag = int(np.trace(cm))
-        if int(cm[perm, cols].sum()) <= identity_diag:
-            perm = list(range(k))
-    mapping = np.asarray(perm, dtype=p.dtype)
+    # lexicographic order, so argmax's first maximum is the smallest tie
+    perms = np.array(list(permutations(range(k))), dtype=np.intp)
+    diag = cm[perms, np.arange(k)].sum(axis=1)
+    mapping = perms[int(np.argmax(diag))].astype(p.dtype)
     return mapping[p]

@@ -410,8 +410,6 @@ def heuristic_search(hist, k: int, criterion: Criterion = Criterion(),
     best = None
     best_score = -np.inf
     for phase in range(phases):
-        if evals + _POPULATION > budget_es:
-            break
         pop = _seed_tuples(h[occupied], k, rng)
         scores = _batch_scores(table, omq, pop, cells)
         evals += pop.shape[0]

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 import entrobench
-from entrobench.cli import main
+from entrobench.cli import _build_parser, _entropy_from_args, main
 from entrobench.entropy import EntropyKind
-from entrobench.harness import (CSV_HEADER, ClusterParams, ThresholdParams,
-                                format_row, run_cluster_cell,
+from entrobench.harness import (CSV_HEADER, ClusterParams, DatasetSpec,
+                                ThresholdParams, format_row, run_cluster_cell,
                                 run_threshold_cell)
 from entrobench.raster import decode_pgm, encode_pgm, median_filter_3x3
-from entrobench.registration import SimilarityTransform, transform_apply
+from entrobench.registration import (RegisterConfig, SimilarityTransform,
+                                     transform_apply)
 from entrobench.scenes import named_scene, scene_pair
 
 
@@ -77,11 +78,43 @@ def test_unknown_verb_rejected(capsys):
     ["threshold", "x.pgm", "--entropy", "renyi", "--q", "2"],
     ["threshold", "x.pgm", "--entropy", "tsallis", "--alpha", "2"],
     ["threshold", "x.pgm", "--bins", "128"],
+    ["threshold", "x.pgm", "--entropy", "renyi", "--alpha", "1"],
+    ["threshold", "x.pgm", "--entropy", "tsallis", "--q", "-2"],
 ])
 def test_bad_flag_combinations_exit_with_usage(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_entropy_flags_build_the_spec_kind():
+    parser = _build_parser()
+    for argv, kind in [([], EntropyKind.shannon()),
+                       (["--entropy", "renyi"], EntropyKind.renyi()),
+                       (["--entropy", "renyi", "--alpha", "0.1"],
+                        EntropyKind.renyi(0.1)),
+                       (["--entropy", "tsallis", "--q", "3.5"],
+                        EntropyKind.tsallis(3.5))]:
+        args = parser.parse_args(["threshold", "x.pgm", *argv])
+        assert _entropy_from_args(parser, args) == kind
+
+
+def test_parser_defaults_are_the_dataclass_defaults():
+    parser = _build_parser()
+    a = parser.parse_args(["threshold", "x.pgm"])
+    assert ThresholdParams(levels=(a.levels,), search=a.search,
+                           budget=a.budget, criterion=a.criterion) \
+        == ThresholdParams()
+    a = parser.parse_args(["register", "r.pgm", "m.pgm"])
+    assert RegisterConfig(bins=a.bins, budget=a.budget, restarts=a.restarts,
+                          seed=a.seed) == RegisterConfig()
+    a = parser.parse_args(["cluster", "x.pgm"])
+    assert ClusterParams(k=a.k, stride=a.stride, restarts=a.restarts,
+                         sigma=a.sigma) == ClusterParams()
+    a = parser.parse_args(["synth", "--spec", "two-region", "--out", "d"])
+    spec = DatasetSpec(name="d", source="scene", scene=a.spec)
+    assert (a.width, a.height, a.noise, a.seed) == \
+        (spec.width, spec.height, spec.noise, spec.seed)
 
 
 def test_missing_input_reports_error(tmp_path, capsys):

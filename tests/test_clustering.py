@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -627,3 +627,57 @@ def test_labelmap_rejects_negative_provenance():
     xs = FeatureSet(np.array([[0.0], [1.0]]), np.array([[0, 0], [-1, 2]]))
     with pytest.raises(ValueError, match="provenance outside a 3x3 raster"):
         assignment_to_labelmap(ClusterAssignment(np.array([0, 1]), 2), xs, (3, 3))
+
+
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 12), d=st.integers(0, 3),
+       poison=st.none() | ANY_FLOAT, seed=st.integers(0, 2**32 - 1))
+def test_feature_set_valid_or_value_error(n, d, poison, seed):
+    """Features in [0, 1], one of them possibly replaced by any float:
+    a FeatureSet of finite components in [0, 1], or ValueError."""
+    rng = np.random.default_rng(seed)
+    f = rng.random((n, d))
+    if poison is not None and f.size:
+        f.flat[rng.integers(f.size)] = poison
+    try:
+        xs = FeatureSet(f, grid_coords(n))
+    except ValueError:
+        return
+    assert (xs.n, xs.d) == (n, d)
+    assert np.isfinite(xs.features).all()
+    assert 0.0 <= xs.features.min() <= xs.features.max() <= 1.0
+
+
+# the explicit examples are a NaN sigma and one whose 4 sigma^2
+# underflows to 0, either of which would fill the kernel with NaN
+@settings(max_examples=150, deadline=None)
+@example(per_cluster=20, d=1, levels=256, k=2, sigma=float("nan"),
+         restarts=1, seed=0)
+@example(per_cluster=20, d=1, levels=256, k=2, sigma=1e-300,
+         restarts=1, seed=0)
+@given(per_cluster=st.integers(10, 20) | st.just(9), d=st.integers(1, 3),
+       levels=st.integers(2, 256),
+       k=st.integers(2, 8) | st.sampled_from([0, 1, 9]),
+       sigma=st.none() | st.floats(0.01, 2.0) | ANY_FLOAT,
+       restarts=st.integers(1, 3) | st.just(0),
+       seed=st.integers(0, 2**32 - 1))
+def test_cluster_finite_or_value_error(per_cluster, d, levels, k, sigma,
+                                       restarts, seed):
+    """per_cluster samples per cluster (9 is too few), on a grid of
+    values with repeats, and any settings: a partition into k clusters
+    with a finite CEF, or ValueError."""
+    n = max(2, k * per_cluster)
+    rng = np.random.default_rng(seed)
+    xs = FeatureSet(rng.integers(0, levels, (n, d)) / (levels - 1),
+                    grid_coords(n))
+    try:
+        assignment, value = cluster(xs, k, sigma, seed=seed, restarts=restarts)
+    except ValueError:
+        return
+    assert assignment.labels.shape == (n,) and assignment.k == k
+    assert np.isfinite(value)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 from scipy.stats import chisquare
 
 from entrobench.entropy import (
@@ -267,3 +270,89 @@ def test_diagonal_joint_mi_equals_marginal_entropy():
 def test_mi_rejects_non_2d():
     with pytest.raises(ValueError):
         mutual_information(np.array([0.5, 0.5]))
+
+
+
+# ------------------------------------------------------------ properties
+# Any input gives a finite value or raises ValueError: no NaN, no
+# infinity, no other exception type.  Inputs are mostly valid, with at
+# most one entry replaced by any float or out-of-range value.
+
+KINDS = st.one_of(
+    st.just(SHANNON),
+    st.builds(EntropyKind, st.sampled_from(["renyi", "tsallis"]),
+              st.floats(0.1, 10.0).filter(lambda a: abs(a - 1.0) > 1e-3)))
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def skewed(rng, shape):
+    """Random values in [0, 1), most of them near 0."""
+    return rng.random(shape) ** 8
+
+
+def poisoned(rng, values, poison):
+    if poison is not None and values.size:
+        values.flat[rng.integers(values.size)] = poison
+    return values
+
+
+def as_distribution(values, rescale):
+    """The values divided by their sum when rescale is set."""
+    if not rescale:
+        return values
+    with np.errstate(all="ignore"):
+        return values / values.sum()
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=12),
+       poison=st.none() | ANY_FLOAT, rescale=st.booleans(), kind=KINDS,
+       seed=st.integers(0, 2**32 - 1))
+def test_entropy_finite_or_value_error(shape, poison, rescale, kind, seed):
+    rng = np.random.default_rng(seed)
+    values = poisoned(rng, skewed(rng, shape), poison)
+    try:
+        h = entropy(as_distribution(values, rescale), kind)
+    except ValueError:
+        return
+    assert np.isfinite(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=8),
+       poison=st.none() | ANY_FLOAT, rescale=st.booleans(), kind=KINDS,
+       seed=st.integers(0, 2**32 - 1))
+def test_mutual_information_finite_or_value_error(shape, poison, rescale,
+                                                  kind, seed):
+    rng = np.random.default_rng(seed)
+    joint = poisoned(rng, skewed(rng, shape), poison)
+    try:
+        mi = mutual_information(as_distribution(joint, rescale), kind)
+    except ValueError:
+        return
+    assert np.isfinite(mi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=array_shapes(min_dims=2, max_dims=2, max_side=6),
+       other=st.none() | array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                      max_side=6),
+       poison=st.none() | st.integers(-2, 258),
+       bins=st.sampled_from([0, 1, 2, 3, 16, 64, 100, 256]),
+       masked=st.booleans(), kind=KINDS, seed=st.integers(0, 2**32 - 1))
+def test_joint_histogram_is_a_distribution_or_value_error(
+        shape, other, poison, bins, masked, kind, seed):
+    """Two rasters, the second of shape ``other`` if given, and a random
+    mask: a (bins, bins) distribution with a finite MI, or ValueError."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 256, shape)
+    b = poisoned(rng, rng.integers(0, 256, other or shape), poison)
+    mask = rng.random(shape) < 0.7 if masked else None
+    try:
+        j = joint_histogram(a, b, bins, mask)
+    except ValueError:
+        return
+    assert j.shape == (bins, bins)
+    assert np.isfinite(j).all() and (j >= 0).all()
+    assert j.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.isfinite(mutual_information(j, kind))
