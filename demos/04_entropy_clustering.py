@@ -36,7 +36,7 @@ def main():
         print(f"restart {r}: {len(path)} passes  CEF {head} ... {path[-1]:.4f}"
               f"  monotone={all(b <= a_ + 1e-12 for a_, b in zip(path, path[1:]))}")
 
-    labelmap = assignment_to_labelmap(a, xs, img.shape)
+    labelmap = assignment_to_labelmap(a, xs)
     pred = align_labels(labelmap, truth)
     print()
     cm = confusion(pred, truth)

@@ -51,8 +51,6 @@ from .clustering import (
     cef,
     cluster,
     extract_features,
-    information_potential,
-    renyi_quadratic_entropy,
     silverman_sigma,
 )
 from .metrics import align_labels, confusion, kappa, overall_accuracy
@@ -97,8 +95,6 @@ __all__ = [
     "cef",
     "cluster",
     "extract_features",
-    "information_potential",
-    "renyi_quadratic_entropy",
     "silverman_sigma",
     "align_labels",
     "confusion",

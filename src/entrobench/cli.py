@@ -20,7 +20,7 @@ from .entropy import EntropyKind
 from .harness import (CSV_HEADER, SCHEMA_VERSION, ClusterParams, DatasetSpec,
                       ThresholdParams, emit_csv, format_row, parse_config,
                       parse_entropy, run_cluster_cell, run_matrix,
-                      run_register_cell, run_threshold_cell)
+                      run_register_cell, run_threshold_cell, scored_points)
 from .raster import decode_pgm, encode_pgm, median_filter_3x3
 from .registration import RegisterConfig, SimilarityTransform
 from .scenes import SCENE_NAMES, named_scene, scene_pair
@@ -78,7 +78,7 @@ def _cmd_threshold(args, parser) -> int:
                              budget=args.budget, criterion=args.criterion)
     rows = run_threshold_cell(img, truth, kind, params, args.levels,
                               args.seed, Path(args.image).stem,
-                              args.truth_points or None)
+                              scored_points(args.truth_points))
     return _finish(rows, args.out)
 
 
@@ -107,7 +107,7 @@ def _cmd_cluster(args, parser) -> int:
     params = ClusterParams(k=args.k, stride=args.stride or None,
                            restarts=args.restarts, sigma=args.sigma or None)
     rows = run_cluster_cell(img, truth, args.kind, params, args.seed,
-                            Path(args.image).stem, args.truth_points or None)
+                            Path(args.image).stem, scored_points(args.truth_points))
     return _finish(rows, args.out)
 
 
@@ -178,7 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", choices=("max-entropy", "cross-entropy"),
                    default=ThresholdParams.criterion)
     p.add_argument("--truth-points", type=int, default=0,
-                   help="evaluate on n sampled truth points per class")
+                   help="evaluate on n sampled truth points per class "
+                        "(default or <= 0: every pixel)")
     p.add_argument("--no-preprocess", action="store_true",
                    help="skip the 3x3 median prefilter")
     p.add_argument("--out", help="directory for rows.csv")

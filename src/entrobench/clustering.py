@@ -9,9 +9,7 @@ Gaussian kernel G(u) = exp(-|u|^2 / (4 sigma^2)),
 which is 0 for infinitely separated clusters and grows as clusters
 overlap, so lower is better.  ``cluster`` descends CEF by single-sample
 reassignment from a quantile initialization along the first principal
-axis.  The partition takes no entropy kind and ``cluster`` reports the
-plain CEF; ``cef`` scores an assignment in the flavor a kind selects
-(Tsallis reports the separation sum of (1 - potential) per pair).
+axis; no entropy kind enters the partition or its score.
 
 Everything kernel-valued is computed exactly on the u distinct feature
 rows, weighted by how many samples share each row: the kernel is u x u
@@ -23,21 +21,20 @@ numpy, in scipy's cdist order, so K has cdist's bits.  Inputs whose
 u x u kernel would exceed _MAX_KERNEL_BYTES are refused with a
 ValueError before it is allocated.
 
-``assignment_to_labelmap`` paints every unsampled pixel with the label
-of its nearest sample, ties to the smallest label, from one exact
-Euclidean distance transform per label (Maurer, Qi and Raghavan 2003,
-as scipy.ndimage implements it), so ties are exact for any number of
-equidistant samples.
+Samples sit on a lattice: every stride-th row and column of an (h, w)
+raster.  ``assignment_to_labelmap`` paints every pixel with the label
+of its nearest sample, ties to the smallest label.  On a full lattice
+the nearest samples of a pixel are its nearest lattice rows crossed
+with its nearest lattice columns, at most two of each, so painting is
+two gathers of the label grid along each axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
-from .entropy import EntropyKind
 from .raster import as_gray
 
 __all__ = [
@@ -45,8 +42,6 @@ __all__ = [
     "ClusterAssignment",
     "extract_features",
     "silverman_sigma",
-    "information_potential",
-    "renyi_quadratic_entropy",
     "cef",
     "cluster",
     "assignment_to_labelmap",
@@ -59,16 +54,25 @@ _SIGMA_FLOOR = 1e-6
 _MAX_KERNEL_BYTES = 1 << 30  # largest u x u float64 kernel built
 
 
+def _lines(size: int, stride: int) -> int:
+    """Number of lattice lines 0, stride, 2 stride, ... below size."""
+    return len(range(0, size, stride))
+
+
 @dataclass(frozen=True)
 class FeatureSet:
-    """Per-sample feature vectors with their source pixel coordinates."""
+    """Feature vectors of the pixels on a sampling lattice.
+
+    Sample i is lattice point i in row-major order: rows 0, stride,
+    2 stride, ... of an (h, w) raster crossed with the same columns.
+    """
 
     features: np.ndarray  # (n, d), all components in [0, 1]
-    coords: np.ndarray    # (n, 2) row, col provenance
+    shape: tuple[int, int]  # (h, w) of the sampled raster
+    stride: int
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=np.float64)
-        c = np.asarray(self.coords, dtype=np.int64)
         if f.ndim != 2 or f.shape[0] < 2 or f.shape[1] < 1:
             raise ValueError("expected an (n, d) feature matrix with n >= 2 "
                              "and d >= 1")
@@ -76,10 +80,16 @@ class FeatureSet:
             raise ValueError("non-finite feature components")
         if f.min() < 0.0 or f.max() > 1.0:
             raise ValueError("feature components outside [0, 1]")
-        if c.shape != (f.shape[0], 2):
-            raise ValueError("coords must be (n, 2) pixel positions")
+        h, w = (int(x) for x in self.shape)
+        s = int(self.stride)
+        if s < 1:
+            raise ValueError("stride must be >= 1")
+        if f.shape[0] != _lines(h, s) * _lines(w, s):
+            raise ValueError(f"{f.shape[0]} samples do not fill the stride-{s} "
+                             f"lattice of a {h}x{w} raster")
         object.__setattr__(self, "features", f)
-        object.__setattr__(self, "coords", c)
+        object.__setattr__(self, "shape", (h, w))
+        object.__setattr__(self, "stride", s)
 
     @property
     def n(self) -> int:
@@ -112,10 +122,10 @@ class ClusterAssignment:
 
 
 def extract_features(bands, stride: int = 1) -> FeatureSet:
-    """Sample every stride-th pixel of co-registered bands.
+    """Sample every stride-th row and column of co-registered bands.
 
-    Features are intensities / 255 across bands, in row-major pixel
-    order; the sample's (row, col) is kept for label-map rebuilding.
+    Features are intensities / 255 across bands, in row-major lattice
+    order; the raster shape and stride are kept for label painting.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -126,12 +136,8 @@ def extract_features(bands, stride: int = 1) -> FeatureSet:
     for b in imgs[1:]:
         if b.shape != shape:
             raise ValueError(f"dimension mismatch {b.shape} vs {shape}")
-    rows = np.arange(0, shape[0], stride)
-    cols = np.arange(0, shape[1], stride)
-    rr, cc = np.meshgrid(rows, cols, indexing="ij")
-    rr, cc = rr.ravel(), cc.ravel()
-    feats = np.stack([b[rr, cc] for b in imgs], axis=1).astype(np.float64) / 255.0
-    return FeatureSet(feats, np.stack([rr, cc], axis=1))
+    feats = np.stack([b[::stride, ::stride].ravel() for b in imgs], axis=1)
+    return FeatureSet(feats.astype(np.float64) / 255.0, shape, stride)
 
 
 def silverman_sigma(xs: FeatureSet) -> float:
@@ -139,15 +145,6 @@ def silverman_sigma(xs: FeatureSet) -> float:
     f = xs.features
     width = 1.06 * f.std(axis=0).mean() * f.shape[0] ** (-0.2)
     return max(float(width), _SIGMA_FLOOR)
-
-
-def _as_matrix(xs) -> np.ndarray:
-    f = xs.features if isinstance(xs, FeatureSet) else np.asarray(xs, dtype=np.float64)
-    if f.ndim == 1:
-        f = f[:, None]
-    if f.ndim != 2 or f.shape[0] == 0:
-        raise ValueError("empty subset")
-    return f
 
 
 def _check_sigma(sigma: float) -> None:
@@ -189,46 +186,20 @@ def _value_counts(inv: np.ndarray, labels: np.ndarray, u: int, k: int) -> np.nda
     return flat.reshape(u, k).astype(np.float64)
 
 
-def information_potential(xs, sigma: float) -> float:
-    """V(X) = (1/n^2) sum_ij exp(-|xi-xj|^2 / (4 sigma^2)), in (0, 1]."""
-    f = _as_matrix(xs)
-    _check_sigma(sigma)
-    K, inv = _distinct_kernel(f, sigma)
-    w = np.bincount(inv, minlength=K.shape[0]).astype(np.float64)
-    n = f.shape[0]
-    return float(w @ K @ w / (n * n))
-
-
-def renyi_quadratic_entropy(xs, sigma: float) -> float:
-    """Quadratic Renyi entropy of a sample set: -ln V(X)."""
-    return -float(np.log(information_potential(xs, sigma)))
-
-
-def _cef(K: np.ndarray, inv: np.ndarray, labels: np.ndarray, k: int,
-         kind: EntropyKind | None) -> float:
+def _cef(K: np.ndarray, inv: np.ndarray, labels: np.ndarray, k: int) -> float:
     """cef() on a distinct-row kernel K and sample row indices inv."""
     C = _value_counts(inv, labels, K.shape[0], k)
-    counts = C.sum(axis=0)
-    V = (C.T @ K @ C) / np.outer(counts, counts)
-    pairs = V[np.triu_indices(k, 1)]
-    if kind is not None and kind.name == "tsallis":
-        return float((1.0 - pairs).sum())
-    return float(pairs.sum())
+    return _cef_from_state(C.T @ K @ C, C.sum(axis=0))
 
 
-def cef(a: ClusterAssignment, xs: FeatureSet, sigma: float,
-        kind: EntropyKind | None = None) -> float:
-    """Cluster evaluation score for an assignment.
-
-    The plain CEF (sum of pairwise cross potentials, lower better) for
-    every kind except Tsallis, which reports the separation sum of
-    (1 - potential) per cluster pair.  Ranking always uses plain CEF.
-    """
+def cef(a: ClusterAssignment, xs: FeatureSet, sigma: float) -> float:
+    """CEF of an assignment: the sum of pairwise cross potentials, lower
+    better."""
     _check_sigma(sigma)
     if a.labels.size != xs.n:
         raise ValueError("assignment does not cover the feature set")
     K, inv = _distinct_kernel(xs.features, sigma)
-    return _cef(K, inv, a.labels, a.k, kind)
+    return _cef(K, inv, a.labels, a.k)
 
 
 def _principal_projection(f: np.ndarray) -> np.ndarray:
@@ -372,8 +343,6 @@ def cluster(xs: FeatureSet, k: int, sigma: float | None = None,
     descends by single-sample reassignment until a pass makes no move
     or 50 passes elapse.  The best restart by plain CEF wins, ties to
     the lower restart index.  Deterministic for fixed inputs and seed.
-    No entropy kind enters the partition; ``cef`` gives another kind's
-    flavor of the score.
 
     sigma defaults to silverman_sigma(xs).  When ``trace`` is a dict it
     receives the per-pass CEF list of each restart, keyed by index.
@@ -409,34 +378,33 @@ def cluster(xs: FeatureSet, k: int, sigma: float | None = None,
         if val < best_val:
             best_val = val
             best_labels = labels.copy()
-    return ClusterAssignment(best_labels, k), _cef(K, inv, best_labels, k, None)
+    return ClusterAssignment(best_labels, k), _cef(K, inv, best_labels, k)
 
 
-def assignment_to_labelmap(a: ClusterAssignment, xs: FeatureSet, dims) -> np.ndarray:
-    """Paint cluster labels back onto an (h, w) raster.
+def _nearest_lines(size: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest lattice line of each pixel along one axis, twice: the
+    two arrays differ only where a pixel lies midway between two lines."""
+    q, rem = np.divmod(np.arange(size), stride)
+    last = _lines(size, stride) - 1
+    return (np.minimum(q + (2 * rem > stride), last),
+            np.minimum(q + (2 * rem >= stride), last))
 
-    Sampled pixels take their own label (the last sample wins where
-    several share a pixel); every other pixel takes the label of the
-    nearest sampled pixel, ties to the smallest label.  The distance to
-    each label is one exact Euclidean distance transform, so ties are
-    exact however many samples are equidistant.
+
+def assignment_to_labelmap(a: ClusterAssignment, xs: FeatureSet) -> np.ndarray:
+    """Paint cluster labels onto the raster ``xs`` was sampled from.
+
+    Every pixel takes the label of its nearest sample, ties to the
+    smallest label.  The nearest samples are the nearest lattice rows
+    crossed with the nearest lattice columns, so the smallest label
+    among them is a minimum over two column gathers, then two row
+    gathers, of the label grid.
     """
-    h, w = int(dims[0]), int(dims[1])
     lab = np.asarray(a.labels)
     if lab.size != xs.n:
         raise ValueError("assignment does not cover the feature set")
-    coords = xs.coords
-    if (coords.min() < 0 or coords[:, 0].max() >= h
-            or coords[:, 1].max() >= w):
-        raise ValueError(f"provenance outside a {h}x{w} raster")
-    out = np.zeros((h, w), dtype=np.uint8)
-    nearest = np.full((h, w), np.inf)
-    for c in range(a.k):
-        free = np.ones((h, w), dtype=bool)
-        free[coords[lab == c, 0], coords[lab == c, 1]] = False
-        dist = distance_transform_edt(free)
-        closer = dist < nearest
-        out[closer] = c
-        np.minimum(nearest, dist, out=nearest)
-    out[coords[:, 0], coords[:, 1]] = lab
-    return out
+    h, w = xs.shape
+    grid = lab.astype(np.uint8).reshape(_lines(h, xs.stride), -1)
+    lo, hi = _nearest_lines(w, xs.stride)
+    by_col = np.minimum(grid[:, lo], grid[:, hi])
+    lo, hi = _nearest_lines(h, xs.stride)
+    return np.minimum(by_col[lo], by_col[hi])

@@ -298,14 +298,14 @@ def parse_config(path) -> RunConfig:
     kinds = tuple(parse_entropy(s) for s in run["entropies"].split())
     seeds = tuple(int(s) for s in run["seeds"].split())
     datasets = tuple(_parse_dataset(n, v) for n, v in cp["datasets"].items())
-    tp = int(run.get("truth_points", "0"))
     params = {}
     for name, (cls, readers) in _PARAM_SECTIONS.items():
         values = cp[name] if name in cp else {}
         params[name] = cls(**{k: readers[k](v) for k, v in values.items()})
     return RunConfig(tasks=tasks, kinds=kinds, datasets=datasets, seeds=seeds,
                      out=run.get("out"), preprocess=_parse_bool(run.get("preprocess", "on")),
-                     truth_points=tp if tp > 0 else None, **params)
+                     truth_points=scored_points(int(run.get("truth_points", "0"))),
+                     **params)
 
 
 @dataclass
@@ -357,6 +357,12 @@ def _rows(task: str, kind: EntropyKind | None, dataset: str, level: str,
                       level=level, metric=metric, value=value,
                       runtime_s=runtime_s, seed=seed)
             for metric, value in metrics.items()]
+
+
+def scored_points(n: int | None) -> int | None:
+    """The truth-points setting: n points per class when n is positive,
+    else None, which scores every pixel."""
+    return n if n is not None and n > 0 else None
 
 
 def truth_point_mask(truth: np.ndarray, points_per_class: int,
@@ -464,7 +470,7 @@ def run_cluster_cell(img, truth, kind: EntropyKind, params: ClusterParams,
     xs = extract_features([img], stride)
     assignment, cef_val = cluster(xs, params.k, params.sigma or None,
                                   seed=seed, restarts=params.restarts)
-    labelmap = assignment_to_labelmap(assignment, xs, img.shape)
+    labelmap = assignment_to_labelmap(assignment, xs)
     elapsed = time.perf_counter() - t0
     if kind.name == "renyi":
         score = cef_val

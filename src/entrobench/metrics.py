@@ -9,6 +9,7 @@ permutation of up to 8 classes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -77,6 +78,15 @@ def kappa(cm) -> float:
     return (n * tr - se) / (n * n - se)
 
 
+@lru_cache(maxsize=None)
+def _permutations(k: int) -> np.ndarray:
+    """All k! permutations of range(k), one per row, in lexicographic
+    order; built once per k and read-only, since callers share it."""
+    perms = np.array(list(permutations(range(k))), dtype=np.intp)
+    perms.flags.writeable = False
+    return perms
+
+
 def align_labels(pred, truth) -> np.ndarray:
     """Permute predicted labels to maximize agreement with truth.
 
@@ -93,7 +103,7 @@ def align_labels(pred, truth) -> np.ndarray:
         raise ValueError(f"{k} classes exceed the supported {_MAX_CLASSES}")
     cm = confusion(p, t)
     # lexicographic order, so argmax's first maximum is the smallest tie
-    perms = np.array(list(permutations(range(k))), dtype=np.intp)
+    perms = _permutations(k)
     diag = cm[perms, np.arange(k)].sum(axis=1)
     mapping = perms[int(np.argmax(diag))].astype(p.dtype)
     return mapping[p]

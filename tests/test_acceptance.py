@@ -318,7 +318,7 @@ def test_clustering_recovery_and_monotone_descent():
         assignment, _ = cluster(xs, 5, seed=seed, trace=trace)
         for tr in trace.values():
             monotone &= all(b <= a + 1e-9 for a, b in zip(tr, tr[1:]))
-        labelmap = assignment_to_labelmap(assignment, xs, img.shape)
+        labelmap = assignment_to_labelmap(assignment, xs)
         pred = align_labels(labelmap, truth)
         kappas.append(kappa(confusion(pred, truth)))
     med = float(np.median(kappas))

@@ -47,12 +47,20 @@ def test_version_reports_schema(capsys):
 
 
 def test_import_loads_no_scipy_optimize_or_spatial():
-    """Start-up cost: importing the CLI must not pull in scipy.optimize
-    or scipy.spatial.  The child imports the package these tests import."""
+    """Start-up cost and the runtime dependency: importing the CLI and
+    running a cluster cell, label painting included, loads no scipy
+    module at all.  The child imports the package these tests import."""
     src = str(Path(entrobench.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import entrobench.cli, sys; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'spatial'])))")
+    code = ("import entrobench.cli, sys\n"
+            "from entrobench.entropy import SHANNON\n"
+            "from entrobench.harness import ClusterParams, run_cluster_cell\n"
+            "from entrobench.scenes import named_scene\n"
+            "img, truth = named_scene('five-region', 32, 32, 6.0, 0)\n"
+            "rows = run_cluster_cell(img, truth, SHANNON, ClusterParams(k=5, stride=2),"
+            " 0, 'scene')\n"
+            "assert [r.metric for r in rows] == ['kappa', 'overall_accuracy', 'score']\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
@@ -175,6 +183,22 @@ def test_threshold_verb_matches_library_cell(tmp_path, capsys):
     assert [r[:7] for r in rows] == \
         [format_row(e).split(",")[:7] for e in expected]
     assert [r[5] for r in rows] == ["kappa", "overall_accuracy"]
+
+
+def test_threshold_verb_negative_truth_points_scores_every_pixel(
+        tmp_path, capsys):
+    """--truth-points follows the [run] truth_points rule: a non-positive
+    count scores every pixel."""
+    img_p, truth_p, img, truth = write_scene(tmp_path)
+    rc = main(["threshold", str(img_p), "--truth", str(truth_p),
+               "--truth-points", "-3"])
+    assert rc == 0
+    rows = csv_rows(capsys.readouterr().out)
+    expected = run_threshold_cell(median_filter_3x3(img), truth,
+                                  EntropyKind.shannon(), ThresholdParams(),
+                                  2, 0, "scene")
+    assert [r[:7] for r in rows] == \
+        [format_row(e).split(",")[:7] for e in expected]
 
 
 def test_threshold_verb_criterion_row_without_truth(tmp_path, capsys):

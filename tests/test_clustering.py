@@ -16,29 +16,25 @@ from entrobench.clustering import (
     cef,
     cluster,
     extract_features,
-    information_potential,
-    renyi_quadratic_entropy,
     silverman_sigma,
     _cef_from_state,
     _value_counts,
 )
-from entrobench.entropy import EntropyKind
 from entrobench.metrics import align_labels, confusion, kappa
 from entrobench.raster import generate_scene
 from entrobench.scenes import five_region_spec
 
 
-def grid_coords(n):
-    side = int(np.ceil(np.sqrt(n)))
-    r, c = np.divmod(np.arange(n), side)
-    return np.stack([r, c], axis=1)
+def row_lattice(f):
+    """A FeatureSet of the n rows of f, sampled from a 1 x n raster."""
+    return FeatureSet(f, (1, f.shape[0]), 1)
 
 
 def feature_set(values):
     f = np.asarray(values, dtype=np.float64)
     if f.ndim == 1:
         f = f[:, None]
-    return FeatureSet(f, grid_coords(f.shape[0]))
+    return row_lattice(f)
 
 
 def brute_cef(labels, feats, sigma, k):
@@ -54,15 +50,6 @@ def brute_cef(labels, feats, sigma, k):
                     acc += np.exp(-np.sum((x - y) ** 2) / (4 * sigma * sigma))
             total += acc / (len(xs) * len(ys))
     return total
-
-
-def brute_potential(feats, sigma):
-    """Information potential by an explicit loop over all sample pairs."""
-    acc = 0.0
-    for x in feats:
-        for y in feats:
-            acc += np.exp(-np.sum((x - y) ** 2) / (4 * sigma * sigma))
-    return acc / (len(feats) * len(feats))
 
 
 def repeated_values(n, d, levels, seed):
@@ -131,11 +118,25 @@ def reference_cluster(f, k, seed, restarts):
 
 def test_feature_set_validation():
     with pytest.raises(ValueError):
-        FeatureSet(np.array([[1.5]]), np.array([[0, 0]]))
+        FeatureSet(np.array([[1.5], [0.5]]), (1, 2), 1)
     with pytest.raises(ValueError):
-        FeatureSet(np.array([[-0.1]]), np.array([[0, 0]]))
+        FeatureSet(np.array([[-0.1], [0.5]]), (1, 2), 1)
     with pytest.raises(ValueError):
-        FeatureSet(np.array([[0.5], [0.5]]), np.array([[0, 0]]))
+        FeatureSet(np.array([[0.5]]), (1, 1), 1)
+
+
+@pytest.mark.parametrize("shape,stride,n", [
+    ((1, 3), 1, 2), ((1, 3), 2, 3), ((4, 4), 2, 5), ((5, 5), 2, 4),
+    ((4, 4), 5, 2), ((2, 0), 1, 2)])
+def test_feature_set_rejects_count_off_the_lattice(shape, stride, n):
+    with pytest.raises(ValueError, match="do not fill the stride"):
+        FeatureSet(np.linspace(0.0, 1.0, n)[:, None], shape, stride)
+
+
+@pytest.mark.parametrize("stride", [0, -1, -4])
+def test_feature_set_rejects_stride_below_one(stride):
+    with pytest.raises(ValueError, match="stride must be >= 1"):
+        FeatureSet(np.array([[0.0], [1.0]]), (1, 2), stride)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -143,13 +144,13 @@ def test_feature_set_rejects_non_finite(bad):
     # NaN passes the [0, 1] range check, and cluster() used to die on it
     # with a TypeError deep in the descent
     with pytest.raises(ValueError, match="non-finite feature components"):
-        FeatureSet(np.array([[0.2], [bad], [0.7]]), np.array([[0, 0], [0, 1], [0, 2]]))
+        FeatureSet(np.array([[0.2], [bad], [0.7]]), (1, 3), 1)
 
 
 def test_feature_set_rejects_zero_feature_columns():
     # the [0, 1] range check used to die inside numpy's empty reduction
     with pytest.raises(ValueError, match="d >= 1"):
-        FeatureSet(np.zeros((3, 0)), np.zeros((3, 2)))
+        FeatureSet(np.zeros((3, 0)), (1, 3), 1)
 
 
 def test_cluster_assignment_validation():
@@ -166,16 +167,15 @@ def test_extract_features_direct_scaling():
     xs = extract_features([img])
     np.testing.assert_allclose(
         xs.features[:, 0], [0.0, 1.0, 128 / 255, 64 / 255])
-    np.testing.assert_array_equal(
-        xs.coords, [[0, 0], [0, 1], [1, 0], [1, 1]])
+    assert (xs.shape, xs.stride) == ((2, 2), 1)
 
 
 def test_extract_features_stride():
     img = np.arange(16, dtype=np.uint8).reshape(4, 4)
     xs = extract_features([img], stride=2)
     assert xs.n == 4
-    np.testing.assert_array_equal(xs.coords,
-                                  [[0, 0], [0, 2], [2, 0], [2, 2]])
+    assert (xs.shape, xs.stride) == ((4, 4), 2)
+    np.testing.assert_array_equal(xs.features[:, 0], np.array([0, 2, 8, 10]) / 255)
 
 
 def test_extract_features_multiband():
@@ -209,42 +209,6 @@ def test_silverman_sigma_floor():
     assert silverman_sigma(xs) == 1e-6
 
 
-def test_information_potential_basics():
-    assert information_potential(np.array([[0.3]]), 0.1) == 1.0
-    assert information_potential(np.array([[0.3], [0.3]]), 0.1) == pytest.approx(
-        1.0, abs=1e-15)
-
-
-def test_information_potential_two_points():
-    sigma = 0.1
-    v = information_potential(np.array([[0.0], [2 * sigma]]), sigma)
-    assert v == pytest.approx((2 + 2 * np.exp(-1)) / 4, abs=1e-15)
-    assert v == pytest.approx(0.6839397205857212, abs=1e-12)
-
-
-def test_information_potential_range_and_translation():
-    rng = np.random.default_rng(1)
-    f = rng.random((40, 2))
-    v = information_potential(f, 0.2)
-    assert 0 < v <= 1
-    assert information_potential(f + 17.0, 0.2) == pytest.approx(v, abs=1e-12)
-
-
-def test_information_potential_errors():
-    with pytest.raises(ValueError):
-        information_potential(np.zeros((0, 1)), 0.1)
-    with pytest.raises(ValueError):
-        information_potential(np.array([[0.0]]), 0.0)
-
-
-def test_renyi_entropy_limit_counts_points():
-    """-ln V approaches ln m for m equal groups of coincident samples."""
-    for m in (2, 4, 5):
-        f = np.repeat(np.linspace(0.0, 1.0, m), 6)[:, None]
-        h = renyi_quadratic_entropy(f, 1e-3)
-        assert abs(h - np.log(m)) <= 1e-2
-
-
 def test_cef_identical_samples():
     xs = feature_set(np.full(20, 0.5))
     a = ClusterAssignment(np.arange(20) % 2, 2)
@@ -272,7 +236,7 @@ def test_cef_orthogonal_split_half():
 def test_cef_matches_brute_force():
     rng = np.random.default_rng(2)
     f = rng.random((30, 2))
-    xs = FeatureSet(f, grid_coords(30))
+    xs = row_lattice(f)
     labels = rng.integers(0, 3, 30)
     labels[:3] = [0, 1, 2]  # keep every cluster nonempty
     a = ClusterAssignment(labels, 3)
@@ -285,21 +249,19 @@ def test_cef_and_potential_repeated_values(d):
     """Collapsing repeated rows to distinct ones weighted by counts is exact."""
     f = repeated_values(40, d, 5, seed=d)
     assert len(np.unique(f, axis=0)) <= 25
-    xs = FeatureSet(f, grid_coords(40))
+    xs = row_lattice(f)
     labels = np.random.default_rng(d).integers(0, 3, 40)
     labels[:3] = [0, 1, 2]
     a = ClusterAssignment(labels, 3)
     for sigma in (0.05, 0.3):
         assert cef(a, xs, sigma) == pytest.approx(
             brute_cef(labels, f, sigma, 3), abs=1e-12)
-        assert information_potential(xs, sigma) == pytest.approx(
-            brute_potential(f, sigma), abs=1e-12)
 
 
 def test_cef_permutation_invariance():
     rng = np.random.default_rng(3)
     f = rng.random((24, 1))
-    xs = FeatureSet(f, grid_coords(24))
+    xs = row_lattice(f)
     labels = np.array([0, 1, 2] * 8)
     v = cef(ClusterAssignment(labels, 3), xs, 0.1)
     # relabel clusters
@@ -308,22 +270,9 @@ def test_cef_permutation_invariance():
         v, abs=1e-12)
     # permute samples
     perm = rng.permutation(24)
-    xs2 = FeatureSet(f[perm], grid_coords(24))
+    xs2 = row_lattice(f[perm])
     assert cef(ClusterAssignment(labels[perm], 3), xs2, 0.1) == pytest.approx(
         v, abs=1e-12)
-
-
-def test_cef_tsallis_reports_separation():
-    rng = np.random.default_rng(4)
-    f = rng.random((24, 1))
-    xs = FeatureSet(f, grid_coords(24))
-    a = ClusterAssignment(np.arange(24) % 3, 3)
-    plain = cef(a, xs, 0.1)
-    ts = cef(a, xs, 0.1, EntropyKind.tsallis(2.0))
-    assert ts == pytest.approx(3 - plain, abs=1e-12)
-    # non-Tsallis kinds report the plain CEF
-    assert cef(a, xs, 0.1, EntropyKind.renyi(2.0)) == pytest.approx(
-        plain, abs=1e-12)
 
 
 def test_cluster_two_groups():
@@ -380,7 +329,7 @@ def test_cluster_descent_trace_monotone():
     (d, k, seed) for d in (1, 2) for k in (2, 3, 4) for seed in (0, 1)])
 def test_cluster_matches_reference_descent(d, k, seed):
     f = repeated_values(60, d, 7 if d == 1 else 4, seed=10 * k + seed)
-    xs = FeatureSet(f, grid_coords(60))
+    xs = row_lattice(f)
     trace = {}
     a, _ = cluster(xs, k, seed=seed, restarts=2, trace=trace)
     runs = reference_cluster(f, k, seed, restarts=2)
@@ -487,7 +436,7 @@ def test_descent_matches_array_state_oracle_exactly(d, k, rows, monkeypatch):
         f = repeated_values(20 * k, d, 6 if d == 1 else 3, seed)
     else:
         f = np.random.default_rng(seed).random((20 * k, d))
-    assert_same_descent(FeatureSet(f, grid_coords(f.shape[0])), k, seed,
+    assert_same_descent(row_lattice(f), k, seed,
                         monkeypatch)
 
 
@@ -513,11 +462,10 @@ def test_kernel_memory_guard():
     """A distinct-row kernel over the limit is refused before allocation."""
     i = np.arange(12000)
     f = np.stack([i // 256, i % 256], axis=1) / 255.0  # 12,000 distinct rows
-    xs = FeatureSet(f, grid_coords(12000))
+    xs = row_lattice(f)
     a = ClusterAssignment(i % 2, 2)
     for call in (lambda: cluster(xs, 2),
-                 lambda: cef(a, xs, 0.1),
-                 lambda: information_potential(xs, 0.1)):
+                 lambda: cef(a, xs, 0.1)):
         with pytest.raises(ValueError,
                            match="12000 distinct feature rows need a 1099 MiB"):
             call()
@@ -528,7 +476,7 @@ def test_cluster_on_noisy_scene():
         five_region_spec(width=64, height=64, noise=8.0), seed=9)
     xs = extract_features([img], stride=2)
     a, _ = cluster(xs, 5, seed=0)
-    labels = assignment_to_labelmap(a, xs, img.shape)
+    labels = assignment_to_labelmap(a, xs)
     aligned = align_labels(labels.ravel(), truth.ravel())
     assert kappa(confusion(aligned, truth.ravel())) >= 0.8
 
@@ -537,7 +485,7 @@ def test_labelmap_stride_one_direct():
     img = np.array([[10, 200], [210, 20]], dtype=np.uint8)
     xs = extract_features([img])
     a = ClusterAssignment(np.array([0, 1, 1, 0]), 2)
-    np.testing.assert_array_equal(assignment_to_labelmap(a, xs, (2, 2)),
+    np.testing.assert_array_equal(assignment_to_labelmap(a, xs),
                                   [[0, 1], [1, 0]])
 
 
@@ -546,16 +494,15 @@ def test_labelmap_uniform_fill():
     img[0, 0] = 255  # two distinct feature values keep FeatureSet honest
     xs = extract_features([img], stride=2)
     labels = np.array([1, 0, 0, 0])
-    out = assignment_to_labelmap(ClusterAssignment(labels, 2), xs, (4, 4))
+    out = assignment_to_labelmap(ClusterAssignment(labels, 2), xs)
     assert out.shape == (4, 4)
     assert set(np.unique(out)) == {0, 1}
 
 
 def test_labelmap_tie_takes_smallest_label():
-    img = np.array([[0, 128, 255]], dtype=np.uint8)
-    xs = FeatureSet(np.array([[0.0], [1.0]]), np.array([[0, 0], [0, 2]]))
+    xs = FeatureSet(np.array([[0.0], [1.0]]), (1, 3), 2)
     a = ClusterAssignment(np.array([1, 0]), 2)
-    out = assignment_to_labelmap(a, xs, (1, 3))
+    out = assignment_to_labelmap(a, xs)
     # middle pixel is equidistant from labels 1 and 0
     np.testing.assert_array_equal(out, [[1, 0, 0]])
 
@@ -565,8 +512,8 @@ def test_labelmap_truth_reconstruction_interior():
     img, truth = generate_scene(
         five_region_spec(width=64, height=64, noise=0.0), seed=0)
     xs = extract_features([img], stride=4)
-    sampled = truth[xs.coords[:, 0], xs.coords[:, 1]].astype(np.int64)
-    out = assignment_to_labelmap(ClusterAssignment(sampled, 5), xs, truth.shape)
+    sampled = truth[::4, ::4].ravel().astype(np.int64)
+    out = assignment_to_labelmap(ClusterAssignment(sampled, 5), xs)
     # erode each region by the stride to isolate interiors
     interior = np.zeros_like(truth, dtype=bool)
     interior[4:-4, 4:-4] = True
@@ -581,54 +528,63 @@ def test_labelmap_truth_reconstruction_interior():
 
 def brute_labelmap(labels, coords, dims):
     """Nearest sample by integer squared distance over every sample,
-    ties to the smallest label; sampled pixels keep the last write."""
-    rr, cc = np.indices(dims)
-    d2 = ((rr[..., None] - coords[:, 0]) ** 2
-          + (cc[..., None] - coords[:, 1]) ** 2)
-    near = d2 == d2.min(axis=2, keepdims=True)
-    out = np.where(near, labels, clustering._MAX_K).min(axis=2)
+    ties to the smallest label; sampled pixels keep the last write.
+    One raster row at a time, so a 256 x 256 map stays small."""
+    out = np.empty(dims, dtype=np.int64)
+    cc = np.arange(dims[1])[:, None]
+    for r in range(dims[0]):
+        d2 = (r - coords[:, 0]) ** 2 + (cc - coords[:, 1]) ** 2
+        near = d2 == d2.min(axis=1, keepdims=True)
+        out[r] = np.where(near, labels, clustering._MAX_K).min(axis=1)
     for (r, c), lab in zip(coords, labels):
         out[r, c] = lab
     return out
 
 
-@pytest.mark.parametrize("zero_at", range(12))
-def test_labelmap_tie_among_twelve_equidistant_samples(zero_at):
-    """Twelve samples on the lattice circle of radius 5 around the centre
-    of a 13x13 raster: the centre takes label 0 wherever it sits."""
-    ring = [(3, 4), (3, -4), (-3, 4), (-3, -4), (4, 3), (4, -3), (-4, 3),
-            (-4, -3), (0, 5), (0, -5), (5, 0), (-5, 0)]
-    coords = np.array([(6 + dr, 6 + dc) for dr, dc in ring])
-    labels = np.array([1 + j % 4 for j in range(12)])
-    labels[zero_at] = 0
-    xs = FeatureSet(np.linspace(0.0, 1.0, 12)[:, None], coords)
-    out = assignment_to_labelmap(ClusterAssignment(labels, 5), xs, (13, 13))
-    assert out[6, 6] == 0
-    np.testing.assert_array_equal(out, brute_labelmap(labels, coords, (13, 13)))
+def lattice_coords(shape, stride):
+    """(row, col) of each lattice sample, in FeatureSet order."""
+    rr, cc = np.meshgrid(range(0, shape[0], stride), range(0, shape[1], stride),
+                         indexing="ij")
+    return np.stack([rr.ravel(), cc.ravel()], axis=1)
+
+
+def assert_paints_like_brute_force(shape, stride, k, seed):
+    coords = lattice_coords(shape, stride)
+    n = coords.shape[0]
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(n) % k)
+    xs = FeatureSet(rng.random((n, 1)), shape, stride)
+    out = assignment_to_labelmap(ClusterAssignment(labels, k), xs)
+    assert out.dtype == np.uint8 and out.shape == shape
+    np.testing.assert_array_equal(out, brute_labelmap(labels, coords, shape))
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_labelmap_matches_brute_force(k):
-    """Random sample positions (some shared) and random labels."""
+    """Random labels on the lattices of random rasters: odd and even
+    strides, so midpoint ties, and pixels beyond the last lattice line."""
     rng = np.random.default_rng(k)
-    for _ in range(4):
-        h, w = rng.integers(3, 30, 2)
-        n = int(rng.integers(k, min(3 * k + 20, h * w) + 1))
-        flat = rng.integers(0, h * w, n)
-        coords = np.stack(np.divmod(flat, w), axis=1)
-        labels = rng.permutation(np.arange(n) % k)
-        xs = FeatureSet(rng.random((n, 1)), coords)
-        out = assignment_to_labelmap(ClusterAssignment(labels, k), xs, (h, w))
-        assert out.dtype == np.uint8
-        np.testing.assert_array_equal(out, brute_labelmap(labels, coords, (h, w)))
+    for _ in range(6):
+        stride = int(rng.integers(1, 9))
+        lines = int(np.ceil(np.sqrt(k)))  # at least k samples
+        h, w = rng.integers((lines - 1) * stride + 1, 40, 2)
+        assert_paints_like_brute_force((int(h), int(w)), stride, k,
+                                       seed=int(rng.integers(2**32)))
 
 
-def test_labelmap_rejects_negative_provenance():
-    xs = FeatureSet(np.array([[0.0], [1.0]]), np.array([[0, 0], [-1, 2]]))
-    with pytest.raises(ValueError, match="provenance outside a 3x3 raster"):
-        assignment_to_labelmap(ClusterAssignment(np.array([0, 1]), 2), xs, (3, 3))
+@pytest.mark.parametrize("shape,stride,k", [
+    (shape, stride, 2) for shape in ((1, 17), (17, 1)) for stride in (1, 2, 3, 4)]
+    + [((1, 2), 1, 2), ((2, 1), 1, 2), ((256, 256), 4, 5), ((256, 256), 7, 8)])
+def test_labelmap_edge_lattices_match_brute_force(shape, stride, k):
+    """1-row and 1-column rasters, whose lattice has one line on an axis,
+    and 256 x 256 rasters."""
+    assert_paints_like_brute_force(shape, stride, k, seed=stride)
 
 
+def test_labelmap_rejects_uncovered_assignment():
+    xs = FeatureSet(np.array([[0.0], [0.5], [1.0]]), (1, 3), 1)
+    with pytest.raises(ValueError, match="does not cover"):
+        assignment_to_labelmap(ClusterAssignment(np.array([0, 1]), 2), xs)
 
 
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
@@ -645,7 +601,7 @@ def test_feature_set_valid_or_value_error(n, d, poison, seed):
     if poison is not None and f.size:
         f.flat[rng.integers(f.size)] = poison
     try:
-        xs = FeatureSet(f, grid_coords(n))
+        xs = row_lattice(f)
     except ValueError:
         return
     assert (xs.n, xs.d) == (n, d)
@@ -673,8 +629,7 @@ def test_cluster_finite_or_value_error(per_cluster, d, levels, k, sigma,
     with a finite CEF, or ValueError."""
     n = max(2, k * per_cluster)
     rng = np.random.default_rng(seed)
-    xs = FeatureSet(rng.integers(0, levels, (n, d)) / (levels - 1),
-                    grid_coords(n))
+    xs = row_lattice(rng.integers(0, levels, (n, d)) / (levels - 1))
     try:
         assignment, value = cluster(xs, k, sigma, seed=seed, restarts=restarts)
     except ValueError:

@@ -582,9 +582,9 @@ def test_run_matrix_calls_in_dataset_task_kind_seed_order(monkeypatch):
         calls.append(("register", ref.shape, kind, config.seed))
         return register(ref, mov, kind, config, **kw)
 
-    def record_paint(a, xs, dims):
-        calls.append(("paint", tuple(dims)))
-        return paint(a, xs, dims)
+    def record_paint(a, xs):
+        calls.append(("paint", xs.shape))
+        return paint(a, xs)
 
     monkeypatch.setattr(harness, "register", record_register)
     monkeypatch.setattr(harness, "assignment_to_labelmap", record_paint)
