@@ -11,6 +11,11 @@ overlap, so lower is better.  ``cluster`` descends CEF by single-sample
 reassignment from a quantile initialization along the first principal
 axis; no entropy kind enters the partition or its score.
 
+Values within _MOVE_TOL (1e-12) of each other are tied: a sample moves
+to the smallest label among its tied best moves, and of tied restarts
+the earlier one wins.  Rounding differences far below that, such as
+another BLAS or libm gives, do not change the partition.
+
 Everything kernel-valued is computed exactly on the u distinct feature
 rows, weighted by how many samples share each row: the kernel is u x u
 (u <= 256 for one 8-bit band, u <= n always), the descent state is
@@ -32,6 +37,8 @@ two gathers of the label grid along each axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import fsum
+from operator import mul
 
 import numpy as np
 
@@ -221,18 +228,6 @@ def _cef_from_state(W: np.ndarray, counts: np.ndarray) -> float:
     return float((W / np.outer(counts, counts))[iu].sum())
 
 
-def _sum(terms: list[float]) -> float:
-    """Sum of at most 8 floats in the order numpy's float64 ``sum`` uses:
-    left to right below 8 terms, a fixed pairwise tree at 8."""
-    if len(terms) < 8:
-        total = 0.0
-        for t in terms:
-            total += t
-        return total
-    a, b, c, d, e, f, g, h = terms
-    return ((a + b) + (c + d)) + ((e + f) + (g + h))
-
-
 def _descend(K: np.ndarray, inv: np.ndarray, labels: np.ndarray, k: int
              ) -> tuple[np.ndarray, list[float]]:
     """Greedy single-sample CEF descent; returns labels and pass trace.
@@ -240,14 +235,12 @@ def _descend(K: np.ndarray, inv: np.ndarray, labels: np.ndarray, k: int
     K is the kernel over distinct feature rows and inv[i] the row of
     sample i.  Samples are visited in index order; a move's delta
     depends only on the sample's (row, label) pair and the state, so a
-    pair found not to improve is skipped until the next move.
+    pair found not to improve is skipped until the next move.  A sample
+    moves when its best delta is below -_MOVE_TOL, to the smallest label
+    whose delta is within _MOVE_TOL of the best.
 
     S stays a u x k array; W and counts are Python lists, and 1/counts
-    and W @ (1/counts) are refreshed only after a move.  S[v] @ (1/counts)
-    and W @ (1/counts) go through numpy (BLAS) and the sums over
-    clusters through ``_sum``, so each delta equals, to the bit, the one
-    numpy array arithmetic on the same state gives; the tests keep that
-    array version as their oracle.
+    and W @ (1/counts) are refreshed only after a move.
     """
     C = _value_counts(inv, labels, K.shape[0], k)
     S = K @ C                    # S[v, c] = sum of K[v, inv[j]] over j in c
@@ -262,11 +255,9 @@ def _descend(K: np.ndarray, inv: np.ndarray, labels: np.ndarray, k: int
 
     def state_terms():
         invn = [1.0 / x for x in counts]
-        invn_v = np.array(invn)
-        wi = (np.array(W) @ invn_v).tolist()
-        return invn_v, invn, wi, [W[c][c] for c in ks]
+        return invn, [fsum(map(mul, Wc, invn)) for Wc in W], [W[c][c] for c in ks]
 
-    invn_v, invn, wi, diag = state_terms()
+    invn, wi, diag = state_terms()
     for _ in range(_MAX_PASSES):
         moved = False
         stale = set()            # (row, label) pairs with no improving move
@@ -274,20 +265,17 @@ def _descend(K: np.ndarray, inv: np.ndarray, labels: np.ndarray, k: int
             a = lab[i]
             if (v, a) in stale or counts[a] <= 1:
                 continue
-            Sv = S[v]
-            Si = Sv.tolist()
-            s = float(Sv @ invn_v)
+            Si = S[v].tolist()
+            s = fsum(map(mul, Si, invn))
             Wa = W[a]
             ia = invn[a]
             sa = Si[a]
             na1 = counts[a] - 1.0
             # pairs (a, c) after the move, summed over c outside {a, b}
-            p = _sum([(Wa[c] - Si[c]) * invn[c] for c in ks]) \
-                - (Wa[a] - sa) * ia
+            p = wi[a] - s - (Wa[a] - sa) * ia
             # pairs (a, c) before the move
-            olda = (_sum([Wa[c] * invn[c] for c in ks]) - Wa[a] * ia) * ia
-            best = np.inf
-            b = a
+            olda = (wi[a] - Wa[a] * ia) * ia
+            delta = {}
             for c in ks:
                 if c == a:
                     continue
@@ -300,11 +288,10 @@ def _descend(K: np.ndarray, inv: np.ndarray, labels: np.ndarray, k: int
                           - (diag[c] + Si[c]) * ic) / nb1
                 # same pairs before the move
                 oldb = (wi[c] - Wa[c] * ia - diag[c] * ic) * ic
-                delta = part_a + part_b - olda - oldb
-                if delta < best:
-                    best = delta
-                    b = c
+                delta[c] = part_a + part_b - olda - oldb
+            best = min(delta.values())
             if best < -_MOVE_TOL:
+                b = next(c for c, d in delta.items() if d <= best + _MOVE_TOL)
                 # row then column, so W[a][a] and W[b][b] get their
                 # updates in the same order as whole-row, whole-column ops
                 Wb = W[b]
@@ -324,7 +311,7 @@ def _descend(K: np.ndarray, inv: np.ndarray, labels: np.ndarray, k: int
                 lab[i] = b
                 moved = True
                 stale.clear()
-                invn_v, invn, wi, diag = state_terms()
+                invn, wi, diag = state_terms()
             else:
                 stale.add((v, a))
         trace.append(_cef_from_state(np.array(W), np.array(counts)))
@@ -342,7 +329,9 @@ def cluster(xs: FeatureSet, k: int, sigma: float | None = None,
     principal feature axis (later restarts jitter the projection) and
     descends by single-sample reassignment until a pass makes no move
     or 50 passes elapse.  The best restart by plain CEF wins, ties to
-    the lower restart index.  Deterministic for fixed inputs and seed.
+    the lower restart index: a later restart replaces an earlier one
+    only when its CEF is lower by more than _MOVE_TOL.  Deterministic
+    for fixed inputs and seed.
 
     sigma defaults to silverman_sigma(xs).  When ``trace`` is a dict it
     receives the per-pass CEF list of each restart, keyed by index.
@@ -375,7 +364,7 @@ def cluster(xs: FeatureSet, k: int, sigma: float | None = None,
         if trace is not None:
             trace[r] = run_trace
         val = run_trace[-1]
-        if val < best_val:
+        if val < best_val - _MOVE_TOL:
             best_val = val
             best_labels = labels.copy()
     return ClusterAssignment(best_labels, k), _cef(K, inv, best_labels, k)

@@ -79,10 +79,6 @@ class EntropyKind:
     def tsallis(cls, q: float = 2.0) -> "EntropyKind":
         return cls("tsallis", q)
 
-    @property
-    def label(self) -> str:
-        return self.name
-
 
 SHANNON = EntropyKind.shannon()
 

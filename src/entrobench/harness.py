@@ -338,9 +338,10 @@ def _load_dataset(spec: DatasetSpec, preprocess: bool) -> _Loaded:
         else:
             ref, mov, t_true = img, img, SimilarityTransform.identity()
     if preprocess:
+        ref_is_img, mov_is_ref = ref is img, mov is ref
         img = median_filter_3x3(img)
-        ref = median_filter_3x3(ref)
-        mov = ref if mov is ref else median_filter_3x3(mov)
+        ref = img if ref_is_img else median_filter_3x3(ref)
+        mov = ref if mov_is_ref else median_filter_3x3(mov)
     return _Loaded(spec.name, img, truth, ref, mov, t_true)
 
 

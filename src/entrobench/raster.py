@@ -207,10 +207,6 @@ class SceneSpec:
         if len(set(means)) != len(means):
             raise ValueError("region means must be pairwise distinct")
 
-    @property
-    def k_true(self) -> int:
-        return len(self.regions)
-
 
 def _region_mask(region: Region, width: int, height: int) -> np.ndarray:
     if region.rect is not None:

@@ -46,6 +46,19 @@ _SCALE_HI = 2.0
 _MIN_OVERLAP = 0.10
 _EDGE_TOL = 1e-9  # source coordinates this far outside the raster still count
 _FAIL = 1e9  # objective value for starts without usable overlap
+# register peaks at 82 B per pixel, measured: _Warp's float64 padded image,
+# xs, ys, x0, y0, wx0 and wy0 (56 B), its intp index (8 B) and its two bool
+# masks (2 B), and the evaluator's float64 reference offsets with their
+# intp temporary (16 B).  1 GiB of that, as for the clustering kernel.
+_MAX_PIXELS = (1 << 30) // 82
+
+
+def _check_size(shape) -> None:
+    """Refuse, before any buffer is allocated, a raster over _MAX_PIXELS."""
+    h, w = shape
+    if h * w > _MAX_PIXELS:
+        raise ValueError(f"a {h}x{w} raster has {h * w} pixels, over the "
+                         f"{_MAX_PIXELS} pixel limit of the warp buffers")
 
 
 @dataclass(frozen=True)
@@ -131,6 +144,7 @@ class _Warp:
     """
 
     def __init__(self, img: np.ndarray):
+        _check_size(img.shape)
         h, w = img.shape
         self.shape = (h, w)
         self.cx, self.cy = (w - 1) / 2.0, (h - 1) / 2.0
@@ -425,15 +439,17 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
     is under 10% of the raster.
 
     Raises ValueError before the search for a ``bins`` that does not
-    divide 256 and for a constant ref or moving image, whose NCCC is
-    undefined.  rmse in the result is nan unless true_transform is
-    given; control points default to the four corners plus the center.
+    divide 256, for a constant ref or moving image, whose NCCC is
+    undefined, and for rasters over _MAX_PIXELS (about 13 M) pixels.
+    rmse in the result is nan unless true_transform is given; control
+    points default to the four corners plus the center.
     """
     t_start = time.perf_counter()
     r = as_gray(ref)
     m = as_gray(moving)
     if r.shape != m.shape:
         raise ValueError(f"shape mismatch {r.shape} vs {m.shape}")
+    _check_size(r.shape)
     if config.budget < 200:
         raise ValueError(f"budget {config.budget} below minimum 200")
     if config.restarts < 0:

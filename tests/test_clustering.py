@@ -63,8 +63,9 @@ def reference_cluster(f, k, seed, restarts):
 
     Same initialization as the library; each sample in turn is tried in
     every other cluster, the whole CEF recomputed from the sample kernel
-    for each, and moved to the best if that lowers CEF by over 1e-12.
-    Returns (labels, per-pass CEF trace) per restart.
+    for each.  If the best lowers CEF by over 1e-12 the sample moves to
+    the smallest cluster within 1e-12 of the best.  Returns (labels,
+    per-pass CEF trace) per restart.
     """
     n = f.shape[0]
     sigma = max(1.06 * f.std(axis=0).mean() * n ** (-0.2), 1e-6)
@@ -106,8 +107,9 @@ def reference_cluster(f, k, seed, restarts):
                         labels[i] = b
                         tried[b] = full_cef(labels)
                 labels[i] = a
-                b = min(tried, key=lambda c: (tried[c], c))
-                if tried[b] - value < -1e-12:
+                best = min(tried.values())
+                if best - value < -1e-12:
+                    b = min(c for c in tried if tried[c] <= best + 1e-12)
                     labels[i], value, moved = b, tried[b], True
             trace.append(value)
             if not moved:
@@ -336,22 +338,27 @@ def test_cluster_matches_reference_descent(d, k, seed):
     for r, (_, ref_trace) in enumerate(runs):
         assert len(trace[r]) == len(ref_trace)
         np.testing.assert_allclose(trace[r], ref_trace, rtol=0, atol=1e-9)
-    best = min(range(len(runs)), key=lambda r: runs[r][1][-1])
+    best = 0  # a later restart wins only when lower by more than 1e-12
+    for r in range(1, len(runs)):
+        if runs[r][1][-1] < runs[best][1][-1] - 1e-12:
+            best = r
     np.testing.assert_array_equal(a.labels, runs[best][0])
     # the reference's own CEF agrees with the explicit pair loops
     assert runs[best][1][-1] == pytest.approx(
         brute_cef(runs[best][0], f, silverman_sigma(xs), k), abs=1e-12)
 
 
-# The same descent in numpy array arithmetic, kept as the oracle that
-# clustering._descend must match bit for bit.
+# The same descent in numpy array arithmetic, kept as the oracle whose
+# labels and traces clustering._descend must match bit for bit.
 def numpy_descend(K, inv, labels, k):
     """Greedy single-sample CEF descent; returns labels and pass trace.
 
     K is the kernel over distinct feature rows and inv[i] the row of
     sample i.  Samples are visited in index order; a move's delta
     depends only on the sample's (row, label) pair and the state, so a
-    pair found not to improve is skipped until the next move.
+    pair found not to improve is skipped until the next move.  A sample
+    moves when its best delta is below -_MOVE_TOL, to the smallest label
+    whose delta is within _MOVE_TOL of the best.
     """
     n = labels.size
     C = _value_counts(inv, labels, K.shape[0], k)
@@ -388,8 +395,9 @@ def numpy_descend(K, inv, labels, k):
             oldb = (wi - Wa * invn[a] - diag * invn) * invn
             delta = part_a + part_b - olda - oldb
             delta[a] = np.inf
-            b = int(np.argmin(delta))
-            if delta[b] < -_MOVE_TOL:
+            best = delta.min()
+            if best < -_MOVE_TOL:
+                b = int(np.flatnonzero(delta <= best + _MOVE_TOL)[0])
                 W[a, :] -= Si
                 W[:, a] -= Si
                 W[a, a] += 1.0
@@ -444,6 +452,28 @@ def test_descent_matches_array_state_oracle_on_scene(monkeypatch):
     img, _ = generate_scene(
         five_region_spec(width=128, height=128, noise=8.0), seed=4)
     assert_same_descent(extract_features([img], stride=4), 5, 0, monkeypatch)
+
+
+@pytest.mark.parametrize("d,k", [(d, k) for d in (1, 2, 3) for k in range(2, 9)])
+def test_partition_survives_one_ulp_kernel_change(d, k, monkeypatch):
+    """Raising a seeded symmetric half of the kernel entries by one ulp,
+    as another BLAS or libm build may round, keeps tied moves and
+    restarts tied: no repeated-value partition changes."""
+    kernel = clustering._distinct_kernel
+    for seed in range(20):
+        xs = row_lattice(repeated_values(20 * k, d, 6 if d == 1 else 3, seed))
+        want = cluster(xs, k, seed=seed)[0].labels
+
+        def nudged(f, sigma):
+            K, inv = kernel(f, sigma)
+            mask = np.random.default_rng(seed).random(K.shape) < 0.5
+            mask |= mask.T
+            return np.where(mask, np.nextafter(K, np.inf), K), inv
+
+        with monkeypatch.context() as m:
+            m.setattr(clustering, "_distinct_kernel", nudged)
+            got = cluster(xs, k, seed=seed)[0].labels
+        assert got.tolist() == want.tolist(), f"seed {seed}"
 
 
 @settings(max_examples=100, deadline=None)

@@ -16,7 +16,7 @@ from entrobench.harness import (CSV_HEADER, ClusterParams, DatasetSpec,
                                 run_threshold_cell, runtime_category,
                                 truth_point_mask)
 from entrobench.metrics import align_labels, confusion, kappa
-from entrobench.raster import median_filter_3x3
+from entrobench.raster import encode_pgm, median_filter_3x3
 from entrobench.scenes import named_scene
 from entrobench.thresholding import (Criterion, apply_thresholds,
                                      criterion_value, exhaustive_search,
@@ -601,6 +601,37 @@ def test_run_matrix_calls_in_dataset_task_kind_seed_order(monkeypatch):
         want += [("paint", shape)] * 4
         want += [("register", shape, k, s) for k in kinds for s in seeds]
     assert calls == want
+
+
+@pytest.mark.parametrize("source,paired,filters", [
+    ("scene", False, 1), ("scene", True, 3), ("file", False, 1), ("file", True, 2)])
+def test_load_dataset_filters_each_distinct_raster_once(source, paired, filters,
+                                                        tmp_path, monkeypatch):
+    """A self-registering dataset's ref and moving image are its image,
+    filtered once; a scene pair filters three rasters, a file pair two,
+    as the file's image is its ref."""
+    img, _ = named_scene("five-region", 32, 32, 8.0, 1)
+    if source == "scene":
+        spec = DatasetSpec(name="d", source="scene", scene="five-region",
+                           width=32, height=32, seed=1,
+                           pair_seed=3 if paired else None)
+    else:
+        (tmp_path / "img.pgm").write_bytes(encode_pgm(img))
+        (tmp_path / "mov.pgm").write_bytes(encode_pgm(img[::-1]))
+        spec = DatasetSpec(name="d", source="file", img_path=str(tmp_path / "img.pgm"),
+                           mov_path=str(tmp_path / "mov.pgm") if paired else None)
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return median_filter_3x3(a)
+
+    monkeypatch.setattr(harness, "median_filter_3x3", counting)
+    ds = harness._load_dataset(spec, preprocess=True)
+    assert len(calls) == filters
+    assert ds.img.tobytes() == median_filter_3x3(img).tobytes()
+    if not paired:
+        assert ds.ref is ds.img and ds.mov is ds.img
 
 
 def test_run_matrix_cross_entropy_collapses_kinds():

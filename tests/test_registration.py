@@ -1,6 +1,7 @@
 """Similarity-transform registration tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -560,6 +561,36 @@ def test_register_rejects_shape_mismatch():
     img = scene_image(size=64)
     with pytest.raises(ValueError):
         register(img, img[:32])
+
+
+@pytest.mark.parametrize("call", [
+    lambda img: register(img, img),
+    lambda img: mi_objective(img, img, I),
+    lambda img: transform_apply(img, I)],
+    ids=["register", "mi_objective", "transform_apply"])
+def test_oversized_raster_refused_before_allocation(call):
+    """A 16384 x 16384 raster, as a read-only view of one 16 KB row
+    that allocates nothing more, is refused by shape and limit before
+    any warp buffer."""
+    row = np.resize(np.arange(256, dtype=np.uint8), 16384)
+    huge = np.broadcast_to(row, (16384, 16384))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=(
+                f"16384x16384 raster has 268435456 pixels, over the "
+                f"{registration._MAX_PIXELS} pixel limit")):
+            call(huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_size_limit_admits_1024_rasters():
+    assert registration._MAX_PIXELS == 13_094_412  # 1 GiB at 82 B per pixel
+    img = scene_image(size=1024)
+    assert mi_objective(img, img, I) > 0.0
+    assert transform_apply(img, I)[1].all()
 
 
 def test_register_rejects_small_budget():
