@@ -12,9 +12,9 @@ reassignment from a quantile initialization along the first principal
 axis; no entropy kind enters the partition or its score.
 
 Values within _MOVE_TOL (1e-12) of each other are tied: a sample moves
-to the smallest label among its tied best moves, and of tied restarts
-the earlier one wins.  Rounding differences far below that, such as
-another BLAS or libm gives, do not change the partition.
+to the smallest label among its tied best moves, and of restarts tied
+on the CEF ``cluster`` returns the earlier one wins.  Rounding far
+below that, such as another BLAS or libm gives, leaves the partition.
 
 Everything kernel-valued is computed exactly on the u distinct feature
 rows, weighted by how many samples share each row: the kernel is u x u
@@ -42,7 +42,7 @@ from operator import mul
 
 import numpy as np
 
-from .raster import as_gray
+from .raster import _MAX_BUFFER_BYTES, as_gray
 
 __all__ = [
     "FeatureSet",
@@ -58,7 +58,7 @@ _MAX_K = 8
 _MAX_PASSES = 50
 _MOVE_TOL = 1e-12
 _SIGMA_FLOOR = 1e-6
-_MAX_KERNEL_BYTES = 1 << 30  # largest u x u float64 kernel built
+_MAX_KERNEL_BYTES = _MAX_BUFFER_BYTES  # largest u x u float64 kernel built
 
 
 def _lines(size: int, stride: int) -> int:
@@ -328,13 +328,13 @@ def cluster(xs: FeatureSet, k: int, sigma: float | None = None,
     Each restart initializes by quantile split along the first
     principal feature axis (later restarts jitter the projection) and
     descends by single-sample reassignment until a pass makes no move
-    or 50 passes elapse.  The best restart by plain CEF wins, ties to
-    the lower restart index: a later restart replaces an earlier one
-    only when its CEF is lower by more than _MOVE_TOL.  Deterministic
+    or 50 passes elapse.  Restarts are ranked by the CEF this returns,
+    ties to the lower restart index: a later restart replaces an earlier
+    one only when its CEF is lower by more than _MOVE_TOL.  Deterministic
     for fixed inputs and seed.
 
     sigma defaults to silverman_sigma(xs).  When ``trace`` is a dict it
-    receives the per-pass CEF list of each restart, keyed by index.
+    receives, keyed by restart index, the CEF after each descent pass.
     """
     if not 2 <= k <= _MAX_K:
         raise ValueError(f"k {k} outside [2, {_MAX_K}]")
@@ -363,11 +363,10 @@ def cluster(xs: FeatureSet, k: int, sigma: float | None = None,
         labels, run_trace = _descend(K, inv, labels, k)
         if trace is not None:
             trace[r] = run_trace
-        val = run_trace[-1]
+        val = _cef(K, inv, labels, k)
         if val < best_val - _MOVE_TOL:
-            best_val = val
-            best_labels = labels.copy()
-    return ClusterAssignment(best_labels, k), _cef(K, inv, best_labels, k)
+            best_val, best_labels = val, labels
+    return ClusterAssignment(best_labels, k), best_val
 
 
 def _nearest_lines(size: int, stride: int) -> tuple[np.ndarray, np.ndarray]:

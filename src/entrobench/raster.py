@@ -27,6 +27,12 @@ __all__ = [
 ]
 
 _WS = frozenset(b" \t\n\r\x0b\x0c")
+# the most that one raster operation's working buffers may take;
+# registration and clustering size their limits from it as well
+_MAX_BUFFER_BYTES = 1 << 30
+# median_filter_3x3 peaks at 12 B per pixel, measured: the padded copy
+# and the network's live uint8 temporaries
+_MAX_FILTER_PIXELS = _MAX_BUFFER_BYTES // 12
 
 
 class PgmError(ValueError):
@@ -135,6 +141,14 @@ def decode_pgm(data: bytes) -> np.ndarray:
             )
         img = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
     else:
+        # every sample takes a separator and a digit: refuse a header
+        # that the data cannot fill before allocating for it
+        if len(data) - pos < 2 * count:
+            raise PgmError(
+                f"truncated payload: expected {count} samples, room for at most "
+                f"{(len(data) - pos) // 2}",
+                len(data),
+            )
         img = np.empty(count, dtype=np.uint8)
         for k in range(count):
             tok = _next_token(data, pos)
@@ -291,8 +305,15 @@ def _median9(p: list) -> np.ndarray:
 
 
 def median_filter_3x3(img) -> np.ndarray:
-    """3x3 median filter with edge replication at the borders."""
+    """3x3 median filter with edge replication at the borders.
+
+    Refuses, before any buffer is allocated, a raster over
+    _MAX_FILTER_PIXELS (about 89 M) pixels.
+    """
     a = as_gray(img)
     h, w = a.shape
+    if h * w > _MAX_FILTER_PIXELS:
+        raise ValueError(f"a {h}x{w} raster has {h * w} pixels, over the "
+                         f"{_MAX_FILTER_PIXELS} pixel limit of the filter buffers")
     pad = np.pad(a, 1, mode="edge")
     return _median9([pad[i:i + h, j:j + w] for i in range(3) for j in range(3)])

@@ -27,7 +27,7 @@ import numpy as np
 # joint_histogram and mutual_information stay bound here for bench/run.py's tracer
 from .entropy import (SHANNON, EntropyKind, _check_bins, _mutual_information,  # noqa: F401
                       joint_histogram, mutual_information)
-from .raster import as_gray
+from .raster import _MAX_BUFFER_BYTES, as_gray
 
 __all__ = [
     "SimilarityTransform",
@@ -49,8 +49,8 @@ _FAIL = 1e9  # objective value for starts without usable overlap
 # register peaks at 82 B per pixel, measured: _Warp's float64 padded image,
 # xs, ys, x0, y0, wx0 and wy0 (56 B), its intp index (8 B) and its two bool
 # masks (2 B), and the evaluator's float64 reference offsets with their
-# intp temporary (16 B).  1 GiB of that, as for the clustering kernel.
-_MAX_PIXELS = (1 << 30) // 82
+# intp temporary (16 B).
+_MAX_PIXELS = _MAX_BUFFER_BYTES // 82
 
 
 def _check_size(shape) -> None:

@@ -81,14 +81,18 @@ class Criterion:
         return self.kind is None
 
     @property
-    def is_additive(self) -> bool:
-        """True when the tuple score is a plain sum of class terms."""
-        return self.kind is None or self.kind.name != "tsallis"
+    def omq(self) -> float | None:
+        """``1 - q`` for Tsallis, whose tuple score adds ``omq`` times the
+        product of the class terms to their sum; None for the criteria
+        whose tuple score is the plain sum."""
+        if self.kind is None or self.kind.name != "tsallis":
+            return None
+        return 1.0 - self.kind.param
 
     @property
     def max_exact_level(self) -> int:
         """Largest threshold count ``exhaustive_search`` solves exactly."""
-        return MAX_LEVELS if self.is_additive else MAX_LEVELS_EXHAUSTIVE
+        return MAX_LEVELS if self.omq is None else MAX_LEVELS_EXHAUSTIVE
 
     @property
     def label(self) -> str:
@@ -108,15 +112,12 @@ def check_thresholds(t, bins: int = 256) -> tuple[int, ...]:
 
 
 def _check_hist(hist) -> np.ndarray:
+    """Counts of at least 2 bins as float64; ``normalize`` rejects
+    non-finite, negative and all-zero counts."""
     h = np.asarray(hist, dtype=np.float64)
     if h.ndim != 1 or h.size < 2:
         raise ValueError("expected a 1-D histogram with at least 2 bins")
-    if not np.isfinite(h).all():
-        raise ValueError("non-finite counts")
-    if (h < 0).any():
-        raise ValueError("negative counts")
-    if h.sum() <= 0:
-        raise ValueError("empty histogram")
+    normalize(h)
     return h
 
 
@@ -148,8 +149,8 @@ def criterion_value(hist, thresholds, criterion: Criterion = Criterion()) -> flo
     ents = [entropy(class_distribution(h, lo, hi), criterion.kind)
             for lo, hi in classes]
     total = float(sum(ents))
-    if criterion.kind.name == "tsallis":
-        total += (1.0 - criterion.kind.param) * float(np.prod(ents))
+    if criterion.omq is not None:
+        total += criterion.omq * float(np.prod(ents))
     return total
 
 
@@ -170,61 +171,50 @@ def _cross_entropy_value(h: np.ndarray, classes) -> float:
     return total
 
 
+def _run_sums(x: np.ndarray) -> np.ndarray:
+    """R[a, b] = x[a] + ... + x[b] for a <= b, by prefix sums.
+
+    For nonnegative x the prefix sums never fall, so R is positive only
+    on or above the diagonal, on runs that hold a positive entry."""
+    c = np.zeros(x.size + 1)
+    c[1:] = np.cumsum(x)
+    return c[None, 1:] - c[:-1][:, None]
+
+
 def _class_table(h: np.ndarray, criterion: Criterion, levels: np.ndarray):
-    """Per-class score table over runs of bins, via prefix sums.
+    """Per-class score table over runs of bins, via ``_run_sums``.
 
     ``h`` holds the counts of consecutive bins, and ``levels`` their
     intensities, which only cross entropy reads: the occupied bins of a
     histogram, as the searches pass them, or a whole histogram with
-    ``np.arange(B)``.  Returns (table, omq): ``table[a, b]`` is the class
-    term for bins a..b (cross entropy already negated so callers
-    uniformly maximize), and ``omq`` is ``1 - q`` for Tsallis (the caller
-    must combine sum and product) or None for additive criteria.  Cells
-    of runs without mass hold 0; over occupied bins those are exactly the
-    cells below the diagonal, which no tuple reads.
+    ``np.arange(B)``.  ``table[a, b]`` is the class term for bins a..b,
+    cross entropy already negated so callers uniformly maximize; for
+    Tsallis the caller adds ``criterion.omq`` times the product of the
+    terms.  Cells of runs without mass hold 0; over occupied bins those
+    are exactly the cells below the diagonal, which no tuple reads.
     """
-    B = h.size
-    cum0 = np.zeros(B + 1)
-    cum0[1:] = np.cumsum(h)
-    # S0[lo, hi] = mass of [lo, hi]; the prefix sums never fall, so it
-    # is positive only on or above the diagonal
-    S0 = cum0[None, 1:] - cum0[:B][:, None]
+    S0 = _run_sums(h)
     mass = S0 > 0
     safe0 = np.where(mass, S0, 1.0)
     if criterion.is_cross_entropy:
         i = np.asarray(levels, dtype=np.float64)
         lni = np.log(np.where(i > 0, i, 1.0))
-        c1 = np.zeros(B + 1)
-        c1[1:] = np.cumsum(i * h)
-        c2 = np.zeros(B + 1)
-        c2[1:] = np.cumsum(i * h * lni)
-        W1 = c1[None, 1:] - c1[:B][:, None]
-        W2 = c2[None, 1:] - c2[:B][:, None]
+        W1 = _run_sums(i * h)
+        W2 = _run_sums(i * h * lni)
         safe1 = np.where(W1 > 0, W1, 1.0)
-        val = np.where(W1 > 0, W2 - W1 * np.log(safe1 / safe0), 0.0)
-        return np.where(mass, -val, 0.0), None
-    kind = criterion.kind
-    if kind.name == "shannon":
-        hl = h * np.log(np.where(h > 0, h, 1.0))
-        c1 = np.zeros(B + 1)
-        c1[1:] = np.cumsum(hl)
-        S1 = c1[None, 1:] - c1[:B][:, None]
+        table = -np.where(W1 > 0, W2 - W1 * np.log(safe1 / safe0), 0.0)
+    elif criterion.kind.name == "shannon":
+        S1 = _run_sums(h * np.log(np.where(h > 0, h, 1.0)))
         table = np.log(safe0) - S1 / safe0
-    elif kind.name == "renyi":
-        a = kind.param
-        c1 = np.zeros(B + 1)
-        c1[1:] = np.cumsum(h ** a)
-        A = c1[None, 1:] - c1[:B][:, None]
-        safeA = np.where(A > 0, A, 1.0)
-        table = (np.log(safeA) - a * np.log(safe0)) / (1.0 - a)
     else:
-        q = kind.param
-        c1 = np.zeros(B + 1)
-        c1[1:] = np.cumsum(h ** q)
-        A = c1[None, 1:] - c1[:B][:, None]
-        table = (1.0 - A / safe0 ** q) / (q - 1.0)
-    omq = (1.0 - kind.param) if kind.name == "tsallis" else None
-    return np.where(mass, table, 0.0), omq
+        p = criterion.kind.param
+        A = _run_sums(h ** p)
+        if criterion.kind.name == "renyi":
+            safeA = np.where(A > 0, A, 1.0)
+            table = (np.log(safeA) - p * np.log(safe0)) / (1.0 - p)
+        else:
+            table = (1.0 - A / safe0 ** p) / (p - 1.0)
+    return np.where(mass, table, 0.0)
 
 
 def _dp_additive(table: np.ndarray, k: int) -> tuple[int, ...]:
@@ -296,7 +286,7 @@ def _tsallis_enumerate(table, omq, k: int) -> tuple[int, ...]:
 
 def _prepare(hist, k: int, top: int, criterion: Criterion):
     """Check the histogram, 1 <= k <= ``top`` and that k + 1 bins are
-    occupied; return (h, occupied bins) + ``_class_table`` over them.
+    occupied; return (h, occupied bins, ``_class_table`` over them).
     Every strictly increasing tuple over all but the last occupied bin
     then splits them into k + 1 classes that each hold mass."""
     h = _check_hist(hist)
@@ -306,7 +296,7 @@ def _prepare(hist, k: int, top: int, criterion: Criterion):
     if occupied.size < k + 1:
         raise ValueError(f"no valid tuple: {occupied.size} occupied bins "
                          f"cannot fill {k + 1} classes")
-    return (h, occupied) + _class_table(h[occupied], criterion, occupied)
+    return h, occupied, _class_table(h[occupied], criterion, occupied)
 
 
 def exhaustive_search(hist, k: int,
@@ -318,12 +308,11 @@ def exhaustive_search(hist, k: int,
     the lexicographically smallest tuple.  Raises for any other k and
     when the histogram occupies fewer than k + 1 bins (no valid tuple).
     """
-    h, occupied, table, omq = _prepare(hist, k, criterion.max_exact_level,
-                                       criterion)
-    if omq is None:
+    h, occupied, table = _prepare(hist, k, criterion.max_exact_level, criterion)
+    if criterion.omq is None:
         t = _dp_additive(table, k)
     else:
-        t = _tsallis_enumerate(table, omq, k)
+        t = _tsallis_enumerate(table, criterion.omq, k)
     t = tuple(int(occupied[x]) for x in t)
     return t, criterion_value(h, t, criterion)
 
@@ -397,7 +386,8 @@ def heuristic_search(hist, k: int, criterion: Criterion = Criterion(),
     and seed; the result never exceeds the exhaustive optimum, and every
     threshold in it is an occupied bin.
     """
-    h, occupied, table, omq = _prepare(hist, k, MAX_LEVELS, criterion)
+    h, occupied, table = _prepare(hist, k, MAX_LEVELS, criterion)
+    omq = criterion.omq
     if budget < 50 * k:
         raise ValueError(f"budget {budget} below minimum {50 * k}")
     m = occupied.size

@@ -327,6 +327,28 @@ def test_cluster_descent_trace_monotone():
     assert cef(a, xs, silverman_sigma(xs)) == pytest.approx(best, abs=1e-9)
 
 
+def test_restart_ties_are_ranked_by_the_returned_cef(monkeypatch):
+    """A later restart whose descent record ends 1e-9 lower, on the same
+    partition with swapped labels, ties on the CEF ``cluster`` returns,
+    so the first restart wins and its CEF is returned as ``cef`` gives it."""
+    rng = np.random.default_rng(7)
+    xs = feature_set(np.concatenate([rng.normal(0.3, 0.05, 40),
+                                     rng.normal(0.7, 0.05, 40)]).clip(0, 1))
+    real = clustering._descend
+    first = []
+
+    def descend(K, inv, labels, k):
+        if not first:
+            first.extend(real(K, inv, labels, k))
+            return first[0], first[1]
+        return 1 - first[0], first[1] + [first[1][-1] - 1e-9]
+
+    monkeypatch.setattr(clustering, "_descend", descend)
+    a, value = cluster(xs, 2, seed=0, restarts=2)
+    np.testing.assert_array_equal(a.labels, first[0])
+    assert value == cef(a, xs, silverman_sigma(xs))
+
+
 @pytest.mark.parametrize("d,k,seed", [
     (d, k, seed) for d in (1, 2) for k in (2, 3, 4) for seed in (0, 1)])
 def test_cluster_matches_reference_descent(d, k, seed):

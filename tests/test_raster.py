@@ -1,6 +1,7 @@
 """Raster I/O, scene generation, and pre-processing tests."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,24 @@ def test_decode_truncated_p5_reports_offset():
         decode_pgm(data)
     assert "truncated" in str(exc.value)
     assert exc.value.offset == len(data)
+
+
+@pytest.mark.parametrize("side", [1 << 20, 1 << 16])
+def test_decode_p2_header_larger_than_data_refused_before_allocation(side):
+    """A P2 header naming more samples than the data can hold, at least
+    a separator and a digit each, is refused before the raster buffer
+    is allocated."""
+    data = b"P2\n%d %d\n255\n0" % (side, side)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PgmError, match=(
+                f"truncated payload: expected {side * side} samples")) as exc:
+            decode_pgm(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.offset == len(data)
+    assert peak < 1 << 20
 
 
 def test_decode_bad_magic_offset_zero():
@@ -267,6 +286,31 @@ def test_median_matches_scipy_median_filter(h, w, levels, seed):
     out = median_filter_3x3(img)
     assert out.dtype == np.uint8
     np.testing.assert_array_equal(out, median_filter(img, size=3, mode="nearest"))
+
+
+def test_median_refuses_oversized_raster_before_allocation():
+    """A 16384 x 16384 raster, as a read-only view of one 16 KB row
+    that allocates nothing more, is refused by shape and limit before
+    the padded copy."""
+    row = np.resize(np.arange(256, dtype=np.uint8), 16384)
+    huge = np.broadcast_to(row, (16384, 16384))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=(
+                f"16384x16384 raster has 268435456 pixels, over the "
+                f"{raster._MAX_FILTER_PIXELS} pixel limit")):
+            median_filter_3x3(huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_median_size_limit_admits_1024_rasters():
+    assert raster._MAX_FILTER_PIXELS == 89_478_485  # 1 GiB at 12 B per pixel
+    img = np.random.default_rng(3).integers(0, 256, (1024, 1024), dtype=np.uint8)
+    np.testing.assert_array_equal(median_filter_3x3(img),
+                                  median_filter(img, size=3, mode="nearest"))
 
 
 def test_median_restores_salted_scene():

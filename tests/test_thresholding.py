@@ -81,6 +81,16 @@ def test_criterion_construction():
         Criterion.max_entropy(None)
 
 
+@pytest.mark.parametrize("criterion,omq,level", [
+    (SHANNON_C, None, 5), (RENYI_C, None, 5),
+    (Criterion(EntropyKind.tsallis(0.5)), 0.5, 3), (TSALLIS_C, -1.0, 3),
+    (CROSS_C, None, 5)],
+    ids=["shannon", "renyi2", "tsallis0.5", "tsallis2", "cross-entropy"])
+def test_criterion_omq_and_max_exact_level(criterion, omq, level):
+    assert criterion.omq == omq
+    assert criterion.max_exact_level == level
+
+
 def test_check_thresholds_validation():
     assert check_thresholds((10, 20)) == (10, 20)
     assert check_thresholds(5) == (5,)
@@ -247,8 +257,10 @@ def full_grid_tsallis(h, k, q):
     summation order, so equal tuples score bit-identically and ties are
     resolved by the grid's order: the lexicographically smallest tuple.
     """
-    table, omq = _class_table(np.asarray(h, dtype=np.float64),
-                              Criterion(EntropyKind.tsallis(q)), np.arange(len(h)))
+    criterion = Criterion(EntropyKind.tsallis(q))
+    table = _class_table(np.asarray(h, dtype=np.float64), criterion,
+                         np.arange(len(h)))
+    omq = criterion.omq
     valid = full_grid_mass(h)
     B = table.shape[0]
     t = [np.arange(B - 1).reshape((-1,) + (1,) * (k - 1 - j)) for j in range(k)]
@@ -438,10 +450,9 @@ def test_occupied_bin_table_matches_full_grid(case, criterion):
     and the interval is valid exactly when that pair is."""
     h = table_cases()[case].astype(np.float64)
     occ = np.flatnonzero(h)
-    full, full_omq = _class_table(h, criterion, np.arange(h.size))
-    table, omq = _class_table(h[occ], criterion, occ)
+    full = _class_table(h, criterion, np.arange(h.size))
+    table = _class_table(h[occ], criterion, occ)
     full_ok, ok = full_grid_mass(h), full_grid_mass(h[occ])
-    assert omq == full_omq
     B = h.size
     first = np.searchsorted(occ, np.arange(B))
     last = np.searchsorted(occ, np.arange(B), side="right") - 1
@@ -511,11 +522,11 @@ def test_heuristic_search_matches_full_grid_scoring(k, monkeypatch):
     old = []
     for h, c in cases:
         occ = np.flatnonzero(h)
-        table, omq = _class_table(np.asarray(h, dtype=np.float64)[occ], c, occ)
+        table = _class_table(np.asarray(h, dtype=np.float64)[occ], c, occ)
         monkeypatch.setattr(
             thr, "_batch_scores",
             lambda _table, _omq, cand, _cells: _reference_batch_scores(
-                table, omq, cand))
+                table, c.omq, cand))
         old.append(heuristic_search(h, k, c, seed=k, budget=1500))
     assert repr(new) == repr(old)
 
