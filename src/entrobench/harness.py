@@ -310,7 +310,6 @@ def parse_config(path) -> RunConfig:
 
 @dataclass
 class _Loaded:
-    name: str
     img: np.ndarray
     truth: np.ndarray | None
     ref: np.ndarray
@@ -342,7 +341,7 @@ def _load_dataset(spec: DatasetSpec, preprocess: bool) -> _Loaded:
         img = median_filter_3x3(img)
         ref = img if ref_is_img else median_filter_3x3(ref)
         mov = ref if mov_is_ref else median_filter_3x3(mov)
-    return _Loaded(spec.name, img, truth, ref, mov, t_true)
+    return _Loaded(img, truth, ref, mov, t_true)
 
 
 def _rows(task: str, kind: EntropyKind | None, dataset: str, level: str,
@@ -402,7 +401,8 @@ def run_threshold_cell(img, truth, kind: EntropyKind | None,
     where it is exact (``level <= crit.max_exact_level``) and the
     evolution strategy elsewhere; with ``search = heuristic`` the
     evolution strategy runs at every level.  Without ground truth the
-    cell reports the criterion value instead of agreement metrics.
+    cell reports the criterion value instead of agreement metrics, and
+    labels no pixels.
     """
     crit = Criterion(kind)
     t0 = time.perf_counter()
@@ -412,7 +412,7 @@ def run_threshold_cell(img, truth, kind: EntropyKind | None,
     else:
         thresholds, value = heuristic_search(h, level, crit, seed=seed,
                                              budget=params.budget)
-    labels = apply_thresholds(img, thresholds)
+    labels = None if truth is None else apply_thresholds(img, thresholds)
     elapsed = time.perf_counter() - t0
     cell = ("threshold", kind, dataset, str(level), seed, elapsed)
     if truth is None:
@@ -455,33 +455,51 @@ def _within_class_entropy(img, labelmap, kind: EntropyKind) -> float:
     return score
 
 
-def run_cluster_cell(img, truth, kind: EntropyKind, params: ClusterParams,
-                     seed: int, dataset: str, truth_points: int | None = None
-                     ) -> list[ReportRow]:
-    """One clustering cell: cluster features, paint labels, score.
-
-    The score metric is the plain CEF for the Renyi kind and the
-    within-class histogram entropy for Shannon and Tsallis, per the
-    kind plug-in convention; kappa and accuracy always come from the
-    aligned label map.  Without ground truth only the score row is
-    produced.
-    """
+def _partition(img, params: ClusterParams, seed: int) -> tuple:
+    """A cluster cell's kind-free part: the sampled features, their
+    clusters and CEF, and the seconds extraction and clustering took."""
     stride = params.stride or _auto_stride(img.shape)
     t0 = time.perf_counter()
     xs = extract_features([img], stride)
     assignment, cef_val = cluster(xs, params.k, params.sigma or None,
                                   seed=seed, restarts=params.restarts)
+    return xs, assignment, cef_val, time.perf_counter() - t0
+
+
+def _cluster_rows(img, truth, kind: EntropyKind, partition: tuple, k: int,
+                  seed: int, dataset: str, truth_points: int | None
+                  ) -> list[ReportRow]:
+    """A cluster cell's own part: paint the partition, score it."""
+    xs, assignment, cef_val, seconds = partition
+    t0 = time.perf_counter()
     labelmap = assignment_to_labelmap(assignment, xs)
-    elapsed = time.perf_counter() - t0
+    elapsed = seconds + time.perf_counter() - t0
     if kind.name == "renyi":
         score = cef_val
     else:
         score = _within_class_entropy(img, labelmap, kind)
-    cell = ("cluster", kind, dataset, str(params.k), seed, elapsed)
+    cell = ("cluster", kind, dataset, str(k), seed, elapsed)
     if truth is None:
         return _rows(*cell, score=score)
     kap, oa = _agreement(labelmap, truth, truth_points, seed)
     return _rows(*cell, kappa=kap, overall_accuracy=oa, score=score)
+
+
+def run_cluster_cell(img, truth, kind: EntropyKind, params: ClusterParams,
+                     seed: int, dataset: str, truth_points: int | None = None
+                     ) -> list[ReportRow]:
+    """One clustering cell: cluster features, paint labels, score.
+
+    The partition takes no entropy kind; only the score does.  The
+    score metric is the plain CEF for the Renyi kind and the
+    within-class histogram entropy for Shannon and Tsallis, per the
+    kind plug-in convention; kappa and accuracy always come from the
+    aligned label map.  Without ground truth only the score row is
+    produced.  ``runtime_s`` covers feature extraction, clustering and
+    painting.
+    """
+    return _cluster_rows(img, truth, kind, _partition(img, params, seed),
+                         params.k, seed, dataset, truth_points)
 
 
 def _plan(cfg: RunConfig) -> list[tuple[str, EntropyKind | None, str, int]]:
@@ -508,12 +526,17 @@ def _plan(cfg: RunConfig) -> list[tuple[str, EntropyKind | None, str, int]]:
 def run_matrix(cfg: RunConfig) -> list[ReportRow]:
     """Execute the full task x kind x dataset x seed matrix.
 
-    Preprocessing runs once per dataset.  A failing cell gives error
-    rows carrying its elapsed time; an unreadable dataset gives every
-    one of its cells an error row with runtime 0.  Neither stops the
-    rest.  Rows come back sorted by task, entropy, param, dataset,
-    level, metric, seed.  Metric values are a pure function of the
-    config.
+    Preprocessing runs once per dataset, and clustering once per
+    (dataset, seed): the partition takes no entropy kind, so the seed's
+    first cluster cell makes it and each kind's cell paints and scores
+    it.  A cluster row's ``runtime_s`` is the partition's seconds plus
+    the cell's own, as ``run_cluster_cell`` reports it.  A failing cell
+    gives error rows carrying its elapsed time, and a partition that
+    raised is not kept, so each cell that needs it fails on its own.
+    An unreadable dataset gives every one of its cells an error row
+    with runtime 0.  Neither stops the rest.  Rows come back sorted by
+    task, entropy, param, dataset, level, metric, seed.  Metric values
+    are a pure function of the config.
     """
     plan = _plan(cfg)
     rows: list[ReportRow] = []
@@ -522,12 +545,13 @@ def run_matrix(cfg: RunConfig) -> list[ReportRow]:
             ds = _load_dataset(spec, cfg.preprocess)
         except Exception:
             ds = None
+        partitions: dict[int, tuple] = {}  # by seed
         for task, kind, level, seed in plan:
             t0 = time.perf_counter()
             try:
                 if ds is None:
                     raise ValueError(f"dataset {spec.name} is unreadable")
-                # cell functions are looked up at call time, so a
+                # what runs a cell is looked up at call time, so a
                 # replaced module attribute is the one that runs
                 if task == "threshold":
                     rows += run_threshold_cell(
@@ -537,8 +561,11 @@ def run_matrix(cfg: RunConfig) -> list[ReportRow]:
                     rows += run_register_cell(ds.ref, ds.mov, ds.t_true, kind,
                                               cfg.register, seed, spec.name)
                 else:
-                    rows += run_cluster_cell(ds.img, ds.truth, kind, cfg.cluster,
-                                             seed, spec.name, cfg.truth_points)
+                    if seed not in partitions:
+                        partitions[seed] = _partition(ds.img, cfg.cluster, seed)
+                    rows += _cluster_rows(ds.img, ds.truth, kind, partitions[seed],
+                                          cfg.cluster.k, seed, spec.name,
+                                          cfg.truth_points)
             except Exception:
                 elapsed = 0.0 if ds is None else time.perf_counter() - t0
                 rows += _rows(task, kind, spec.name, level, seed, elapsed,

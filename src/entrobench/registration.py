@@ -420,8 +420,8 @@ def _nelder_mead(f, sim: np.ndarray, maxfev: int, xatol: float, fatol: float):
 
 def register(ref, moving, kind: EntropyKind = SHANNON,
              config: RegisterConfig = RegisterConfig(),
-             true_transform: SimilarityTransform | None = None,
-             control_points=None) -> RegistrationResult:
+             true_transform: SimilarityTransform | None = None
+             ) -> RegistrationResult:
     """Recover the similarity transform aligning moving onto ref.
 
     Multi-start Nelder-Mead on -MI: an identity start plus seeded
@@ -441,8 +441,9 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
     Raises ValueError before the search for a ``bins`` that does not
     divide 256, for a constant ref or moving image, whose NCCC is
     undefined, and for rasters over _MAX_PIXELS (about 13 M) pixels.
-    rmse in the result is nan unless true_transform is given; control
-    points default to the four corners plus the center.
+    rmse in the result is nan unless true_transform is given; it is
+    taken over ``default_control_points``, the four corners plus the
+    center.
     """
     t_start = time.perf_counter()
     r = as_gray(ref)
@@ -516,10 +517,9 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
     cc = nccc(r, warped, valid)
     rmse = float("nan")
     if true_transform is not None:
-        pts = (default_control_points(r.shape) if control_points is None
-               else control_points)
         h, w = r.shape
-        rmse = rmse_control_points(T, true_transform, pts,
+        rmse = rmse_control_points(T, true_transform,
+                                   default_control_points(r.shape),
                                    center=((w - 1) / 2.0, (h - 1) / 2.0))
     return RegistrationResult(transform=T, mi_final=-float(best_full["val"]),
                               nccc=cc, rmse=rmse, evaluations=state["n"],

@@ -338,6 +338,16 @@ def test_run_threshold_cell_criterion_row_without_truth():
     assert (rows[0].entropy, rows[0].param) == ("renyi", "2.0")
 
 
+def test_run_threshold_cell_without_truth_labels_no_pixels(monkeypatch):
+    def refuse(img, thresholds):
+        raise AssertionError("a truthless cell has no use for a label map")
+
+    monkeypatch.setattr(harness, "apply_thresholds", refuse)
+    img, _ = small_scene()
+    rows = run_threshold_cell(img, None, SHANNON, ThresholdParams(), 2, 0, "d")
+    assert [r.metric for r in rows] == ["criterion"]
+
+
 def test_run_threshold_cell_cross_entropy_labeling():
     img, _ = small_scene()
     rows = run_threshold_cell(img, None, None, ThresholdParams(), 1, 0, "d")
@@ -601,6 +611,39 @@ def test_run_matrix_calls_in_dataset_task_kind_seed_order(monkeypatch):
         want += [("paint", shape)] * 4
         want += [("register", shape, k, s) for k in kinds for s in seeds]
     assert calls == want
+
+
+def test_run_matrix_clusters_once_per_dataset_and_seed(monkeypatch):
+    calls = {"cluster": 0, "paint": 0}
+    cluster, paint = harness.cluster, harness.assignment_to_labelmap
+
+    def count(name, fn):
+        def counted(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return counted
+
+    monkeypatch.setattr(harness, "cluster", count("cluster", cluster))
+    monkeypatch.setattr(harness, "assignment_to_labelmap", count("paint", paint))
+    specs = (scene_ds("a"), DatasetSpec(name="b", source="scene",
+                                        scene="five-region", width=40,
+                                        height=40, noise=4.0, seed=2))
+    kinds, seeds = (SHANNON, RENYI2, TSALLIS2), (0, 5)
+    params = ClusterParams(k=3, stride=3, restarts=1)
+    rows = run_matrix(matrix_config(tasks=("cluster",), kinds=kinds,
+                                    datasets=specs, seeds=seeds, cluster=params))
+    # one partition per (dataset, seed); one label map per cell
+    assert calls == {"cluster": 4, "paint": 12}
+    got = {(r.dataset, r.entropy, r.seed, r.metric): r.value for r in rows}
+    want = {}
+    for spec in specs:
+        ds = harness._load_dataset(spec, preprocess=True)
+        for kind, seed in itertools.product(kinds, seeds):
+            for r in run_cluster_cell(ds.img, ds.truth, kind, params, seed,
+                                      spec.name):
+                want[spec.name, r.entropy, seed, r.metric] = r.value
+    assert len(want) == 2 * 3 * 2 * 3
+    assert got == want
 
 
 @pytest.mark.parametrize("source,paired,filters", [
