@@ -27,7 +27,6 @@ seeds = 0
 
 [threshold]
 levels = 2
-search = exhaustive
 
 [cluster]
 k = 5

@@ -25,36 +25,32 @@ from .raster import decode_pgm, encode_pgm, median_filter_3x3
 from .registration import RegisterConfig, SimilarityTransform
 from .scenes import SCENE_NAMES, named_scene, scene_pair
 
-_ENTROPY_CHOICES = ("shannon", "renyi", "tsallis")
-_ORDER_FLAGS = {"renyi": "alpha", "tsallis": "q"}
 
-
-def _add_entropy_flags(p: argparse.ArgumentParser):
-    p.add_argument("--entropy", choices=_ENTROPY_CHOICES, default="shannon",
-                   help="entropy kind (default shannon)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="Renyi order (renyi only; default 2)")
-    p.add_argument("--q", type=float, default=None,
-                   help="Tsallis index (tsallis only; default 2)")
-
-
-def _entropy_from_args(parser, args) -> EntropyKind:
-    """The kind as the spec ``name[:order]``; misuse exits with usage."""
-    name = args.entropy
-    own = _ORDER_FLAGS.get(name)
-    for flag in ("alpha", "q"):
-        if flag != own and getattr(args, flag) is not None:
-            hint = f"; use --{own}" if own else ""
-            parser.error(f"--{flag} is not valid with --entropy {name}{hint}")
-    order = getattr(args, own) if own else None
+def _entropy_spec(spec: str) -> EntropyKind:
+    """An argparse type: the spec ``name[:order]``, as a config writes it;
+    a bad spec exits with usage and parse_entropy's message."""
     try:
-        return parse_entropy(name if order is None else f"{name}:{order!r}")
+        return parse_entropy(spec)
     except ValueError as e:
-        parser.error(str(e))
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def _add_entropy_flag(p: argparse.ArgumentParser):
+    p.add_argument("--entropy", dest="kind", type=_entropy_spec,
+                   default="shannon", metavar="SPEC",
+                   help="entropy kind as name[:order], e.g. shannon, "
+                        "renyi:2 or tsallis:0.5 (default shannon; an "
+                        "omitted order is 2)")
 
 
 def _load_pgm(path: str):
     return decode_pgm(Path(path).read_bytes())
+
+
+def _dataset_name(path: str) -> str:
+    """A file input's dataset column: its stem, checked as a config's
+    dataset name is."""
+    return DatasetSpec(name=Path(path).stem, source="file", img_path=path).name
 
 
 def _maybe_filter(img, args):
@@ -71,18 +67,19 @@ def _finish(rows, out) -> int:
 
 
 def _cmd_threshold(args, parser) -> int:
+    dataset = _dataset_name(args.image)
     img = _maybe_filter(_load_pgm(args.image), args)
     truth = _load_pgm(args.truth) if args.truth else None
     kind = None if args.criterion == "cross-entropy" else args.kind
-    params = ThresholdParams(levels=(args.levels,), search=args.search,
-                             budget=args.budget, criterion=args.criterion)
+    params = ThresholdParams(levels=(args.levels,), budget=args.budget,
+                             criterion=args.criterion)
     rows = run_threshold_cell(img, truth, kind, params, args.levels,
-                              args.seed, Path(args.image).stem,
-                              scored_points(args.truth_points))
+                              args.seed, dataset, scored_points(args.truth_points))
     return _finish(rows, args.out)
 
 
 def _cmd_register(args, parser) -> int:
+    dataset = _dataset_name(args.ref)
     ref = _maybe_filter(_load_pgm(args.ref), args)
     mov = _maybe_filter(_load_pgm(args.mov), args)
     t_true = None
@@ -97,17 +94,18 @@ def _cmd_register(args, parser) -> int:
     params = RegisterConfig(bins=args.bins, budget=args.budget,
                             restarts=args.restarts)
     rows = run_register_cell(ref, mov, t_true, args.kind, params,
-                             args.seed, Path(args.ref).stem)
+                             args.seed, dataset)
     return _finish(rows, args.out)
 
 
 def _cmd_cluster(args, parser) -> int:
+    dataset = _dataset_name(args.image)
     img = _maybe_filter(_load_pgm(args.image), args)
     truth = _load_pgm(args.truth) if args.truth else None
     params = ClusterParams(k=args.k, stride=args.stride or None,
                            restarts=args.restarts, sigma=args.sigma or None)
     rows = run_cluster_cell(img, truth, args.kind, params, args.seed,
-                            Path(args.image).stem, scored_points(args.truth_points))
+                            dataset, scored_points(args.truth_points))
     return _finish(rows, args.out)
 
 
@@ -162,19 +160,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="threshold one image, score vs truth")
     p.add_argument("image", help="input PGM")
     p.add_argument("--truth", help="ground-truth label PGM")
-    _add_entropy_flags(p)
+    _add_entropy_flag(p)
     p.add_argument("--levels", type=int, default=ThresholdParams.levels[0],
                    help="threshold count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=ThresholdParams.budget,
-                   help="heuristic-search evaluation budget")
-    p.add_argument("--search", choices=("exhaustive", "heuristic"),
-                   default=ThresholdParams.search,
-                   help="exhaustive: the exact search wherever it is exact "
-                        "(additive criteria at every level, Tsallis up to "
-                        "3), the evolution strategy otherwise (Tsallis at "
-                        "4-5); heuristic: the evolution strategy at every "
-                        "level")
+                   help="evolution-strategy evaluation budget, used only "
+                        "for Tsallis at levels 4-5, where no exact search "
+                        "runs")
     p.add_argument("--criterion", choices=("max-entropy", "cross-entropy"),
                    default=ThresholdParams.criterion)
     p.add_argument("--truth-points", type=int, default=0,
@@ -183,12 +176,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-preprocess", action="store_true",
                    help="skip the 3x3 median prefilter")
     p.add_argument("--out", help="directory for rows.csv")
-    p.set_defaults(func=_cmd_threshold, needs_kind=True)
+    p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("register", help="register a moving PGM onto a reference")
     p.add_argument("ref")
     p.add_argument("mov")
-    _add_entropy_flags(p)
+    _add_entropy_flag(p)
     p.add_argument("--bins", type=int, default=RegisterConfig.bins,
                    help="joint-histogram bins of the full-resolution refinement "
                         "(a divisor of 256); the coarse first stage uses at most 16")
@@ -199,12 +192,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="ground truth as dx,dy,theta,s for the rmse row")
     p.add_argument("--no-preprocess", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_register, needs_kind=True)
+    p.set_defaults(func=_cmd_register)
 
     p = sub.add_parser("cluster", help="cluster pixel features, score vs truth")
     p.add_argument("image")
     p.add_argument("--truth")
-    _add_entropy_flags(p)
+    _add_entropy_flag(p)
     p.add_argument("--k", type=int, default=ClusterParams.k, help="cluster count")
     p.add_argument("--stride", type=int, default=ClusterParams.stride,
                    help="sample stride (default or 0: auto, about 4096 samples)")
@@ -215,12 +208,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth-points", type=int, default=0)
     p.add_argument("--no-preprocess", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_cluster, needs_kind=True)
+    p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("bench", help="run a config-driven experiment matrix")
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="override the config output directory")
-    p.set_defaults(func=_cmd_bench, needs_kind=False)
+    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("synth", help="write a synthetic scene (and pair)")
     p.add_argument("--spec", choices=SCENE_NAMES, required=True)
@@ -231,15 +224,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-seed", type=int, default=None,
                    help="also write ref/mov/transform for registration")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_synth, needs_kind=False)
+    p.set_defaults(func=_cmd_synth)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.needs_kind:
-        args.kind = _entropy_from_args(parser, args)
     try:
         return args.func(args, parser)
     except (ValueError, OSError) as e:

@@ -28,8 +28,8 @@ from .metrics import align_labels, confusion, kappa, overall_accuracy
 from .raster import decode_pgm, median_filter_3x3
 from .registration import RegisterConfig, SimilarityTransform, register
 from .scenes import named_scene, scene_pair
-from .thresholding import (Criterion, apply_thresholds, exhaustive_search,
-                           heuristic_search)
+from .thresholding import (MAX_LEVELS, Criterion, apply_thresholds,
+                           exhaustive_search, heuristic_search)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -113,17 +113,18 @@ def _reject_repeats(what: str, values) -> None:
 @dataclass(frozen=True)
 class ThresholdParams:
     levels: tuple[int, ...] = (2,)
-    search: str = "exhaustive"
-    budget: int = 5000
+    budget: int = 5000  # the evolution strategy's, where no exact search runs
     criterion: str = "max-entropy"
 
     def __post_init__(self):
-        if self.search not in ("exhaustive", "heuristic"):
-            raise ValueError(f"unknown search {self.search!r}")
         if self.criterion not in ("max-entropy", "cross-entropy"):
             raise ValueError(f"unknown criterion {self.criterion!r}")
         if not self.levels:
             raise ValueError("no threshold levels configured")
+        for level in self.levels:
+            if not 1 <= level <= MAX_LEVELS:
+                raise ValueError(f"threshold level {level} outside "
+                                 f"1-{MAX_LEVELS}")
         _reject_repeats("threshold level", self.levels)
 
 
@@ -155,6 +156,10 @@ class DatasetSpec:
     mov_path: str | None = None
 
     def __post_init__(self):
+        # CSV schema 1 quotes no field: a name must not split a row
+        if any(c in self.name for c in ",\r\n"):
+            raise ValueError(f"dataset name {self.name!r} holds a comma "
+                             "or line break")
         if self.source not in ("scene", "file"):
             raise ValueError(f"dataset {self.name}: unknown source {self.source!r}")
         if self.source == "scene" and not self.scene:
@@ -231,8 +236,8 @@ def _auto(read):
 # dataclass fields; a key a config leaves out keeps its dataclass
 # default, and any other key fails instead of being ignored
 _PARAM_SECTIONS = {
-    "threshold": (ThresholdParams, {"levels": _levels, "search": str,
-                                    "budget": int, "criterion": str}),
+    "threshold": (ThresholdParams, {"levels": _levels, "budget": int,
+                                    "criterion": str}),
     "register": (RegisterConfig, {"bins": int, "budget": int, "restarts": int}),
     "cluster": (ClusterParams, {"k": int, "stride": _auto(int),
                                 "restarts": int, "sigma": _auto(float)}),
@@ -397,17 +402,16 @@ def run_threshold_cell(img, truth, kind: EntropyKind | None,
                        ) -> list[ReportRow]:
     """One thresholding cell: search, label, score against truth.
 
-    With ``search = exhaustive`` the cell runs ``exhaustive_search``
-    where it is exact (``level <= crit.max_exact_level``) and the
-    evolution strategy elsewhere; with ``search = heuristic`` the
-    evolution strategy runs at every level.  Without ground truth the
-    cell reports the criterion value instead of agreement metrics, and
-    labels no pixels.
+    The cell runs ``exhaustive_search`` where it is exact (``level <=
+    crit.max_exact_level``) and the evolution strategy, with
+    ``params.budget`` evaluations, everywhere else: for Tsallis at
+    levels 4-5 only.  Without ground truth the cell reports the
+    criterion value instead of agreement metrics, and labels no pixels.
     """
     crit = Criterion(kind)
     t0 = time.perf_counter()
     h = histogram(img)
-    if params.search == "exhaustive" and level <= crit.max_exact_level:
+    if level <= crit.max_exact_level:
         thresholds, value = exhaustive_search(h, level, crit)
     else:
         thresholds, value = heuristic_search(h, level, crit, seed=seed,

@@ -24,8 +24,8 @@ cross entropy) are solved at every level by a dynamic program over the
 class table, and Tsallis up to k = 3 by enumerating tuples of occupied
 bins.  Both break ties toward the lexicographically smallest tuple.
 ``heuristic_search`` is a seeded (mu + lambda) evolution strategy usable
-up to k = 5, needed only for Tsallis at k = 4-5, where no cheap exact
-method exists; it too searches tuples of occupied bins on the same table.
+up to k = 5 and run by the harness only for Tsallis at k = 4-5, where no
+cheap exact method exists; it too searches occupied bins on the same table.
 """
 
 from __future__ import annotations

@@ -367,11 +367,9 @@ def _cli(*args):
 
 
 def _kind_flags(entropy_name, param):
-    if entropy_name == "shannon":
-        return ["--entropy", "shannon"]
-    if entropy_name == "renyi":
-        return ["--entropy", "renyi", "--alpha", param]
-    return ["--entropy", "tsallis", "--q", param]
+    """The row's kind as the spec its entropy and param columns spell."""
+    return ["--entropy",
+            entropy_name if param == "-" else f"{entropy_name}:{param}"]
 
 
 def _replay_args(key, dirs):

@@ -7,13 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entrobench
-from entrobench.cli import _build_parser, _entropy_from_args, main
-from entrobench.entropy import EntropyKind
+from entrobench.cli import _build_parser, main
+from entrobench.entropy import PARAM_GUARD, EntropyKind
 from entrobench.harness import (CSV_HEADER, ClusterParams, DatasetSpec,
-                                ThresholdParams, format_row, run_cluster_cell,
-                                run_threshold_cell)
+                                ThresholdParams, format_row, parse_entropy,
+                                run_cluster_cell, run_threshold_cell)
 from entrobench.raster import decode_pgm, encode_pgm, median_filter_3x3
 from entrobench.registration import (RegisterConfig, SimilarityTransform,
                                      transform_apply)
@@ -81,13 +83,16 @@ def test_unknown_verb_rejected(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["threshold", "x.pgm", "--entropy", "shannon", "--alpha", "2"],
-    ["threshold", "x.pgm", "--entropy", "shannon", "--q", "2"],
-    ["threshold", "x.pgm", "--entropy", "renyi", "--q", "2"],
-    ["threshold", "x.pgm", "--entropy", "tsallis", "--alpha", "2"],
+    ["threshold", "x.pgm", "--entropy", "shannon:2"],
+    ["threshold", "x.pgm", "--entropy", "renyi:1"],
+    ["threshold", "x.pgm", "--entropy", "tsallis:-2"],
+    ["threshold", "x.pgm", "--entropy", "gini"],
     ["threshold", "x.pgm", "--bins", "128"],
-    ["threshold", "x.pgm", "--entropy", "renyi", "--alpha", "1"],
-    ["threshold", "x.pgm", "--entropy", "tsallis", "--q", "-2"],
+    ["threshold", "x.pgm", "--entropy", "renyi", "--alpha", "2"],
+    ["threshold", "x.pgm", "--entropy", "tsallis", "--q", "2"],
+    ["threshold", "x.pgm", "--search", "heuristic"],
+    ["register", "r.pgm", "m.pgm", "--entropy", "renyi", "--alpha", "2"],
+    ["cluster", "x.pgm", "--entropy", "tsallis", "--q", "2"],
 ])
 def test_bad_flag_combinations_exit_with_usage(argv):
     with pytest.raises(SystemExit) as exc:
@@ -95,23 +100,57 @@ def test_bad_flag_combinations_exit_with_usage(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("spec", ["shannon:2", "renyi:1", "tsallis:-2", "gini",
+                                  "renyi:abc"])
+def test_bad_entropy_spec_usage_carries_the_parse_message(spec, capsys):
+    with pytest.raises(ValueError) as parsed:
+        parse_entropy(spec)
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", "x.pgm", "--entropy", spec])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"argument --entropy: {parsed.value}")
+
+
 def test_entropy_flags_build_the_spec_kind():
     parser = _build_parser()
     for argv, kind in [([], EntropyKind.shannon()),
+                       (["--entropy", "shannon"], EntropyKind.shannon()),
                        (["--entropy", "renyi"], EntropyKind.renyi()),
-                       (["--entropy", "renyi", "--alpha", "0.1"],
-                        EntropyKind.renyi(0.1)),
-                       (["--entropy", "tsallis", "--q", "3.5"],
-                        EntropyKind.tsallis(3.5))]:
-        args = parser.parse_args(["threshold", "x.pgm", *argv])
-        assert _entropy_from_args(parser, args) == kind
+                       (["--entropy", "renyi:0.1"], EntropyKind.renyi(0.1)),
+                       (["--entropy", "tsallis:3.5"], EntropyKind.tsallis(3.5))]:
+        for verb in (["threshold", "x.pgm"], ["register", "r.pgm", "m.pgm"],
+                     ["cluster", "x.pgm"]):
+            assert parser.parse_args([*verb, *argv]).kind == kind
+
+
+_ORDERS = st.floats(min_value=0.05, max_value=20.0).filter(
+    lambda v: abs(v - 1.0) >= PARAM_GUARD)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.one_of(st.just(EntropyKind.shannon()),
+                      _ORDERS.map(EntropyKind.renyi),
+                      _ORDERS.map(EntropyKind.tsallis)))
+def test_csv_kind_columns_read_back_through_entropy_flag(kind):
+    """A row's entropy and param columns, written as the spec name or
+    name:param, give the threshold verb the row's kind back."""
+    img = np.arange(64, dtype=np.uint8).reshape(8, 8)
+    rows = run_threshold_cell(img, None, kind, ThresholdParams(levels=(1,)),
+                              1, 0, "d")
+    parser = _build_parser()
+    for r in rows:
+        name, param = format_row(r).split(",")[1:3]
+        spec = name if param == "-" else f"{name}:{param}"
+        assert parser.parse_args(["threshold", "x.pgm", "--entropy",
+                                  spec]).kind == kind
 
 
 def test_parser_defaults_are_the_dataclass_defaults():
     parser = _build_parser()
     a = parser.parse_args(["threshold", "x.pgm"])
-    assert ThresholdParams(levels=(a.levels,), search=a.search,
-                           budget=a.budget, criterion=a.criterion) \
+    assert ThresholdParams(levels=(a.levels,), budget=a.budget,
+                           criterion=a.criterion) \
         == ThresholdParams()
     a = parser.parse_args(["register", "r.pgm", "m.pgm"])
     assert RegisterConfig(bins=a.bins, budget=a.budget, restarts=a.restarts,
@@ -123,6 +162,20 @@ def test_parser_defaults_are_the_dataclass_defaults():
     spec = DatasetSpec(name="d", source="scene", scene=a.spec)
     assert (a.width, a.height, a.noise, a.seed) == \
         (spec.width, spec.height, spec.noise, spec.seed)
+
+
+def test_file_stem_with_comma_is_refused_before_the_cell(tmp_path, capsys):
+    """Schema 1 quotes no field, so a comma in the dataset column would
+    split the row."""
+    img_p, _, _, _ = write_scene(tmp_path, size=32)
+    bad = tmp_path / "a,b.pgm"
+    img_p.rename(bad)
+    for argv in (["threshold", str(bad)], ["register", str(bad), str(bad)],
+                 ["cluster", str(bad)]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "dataset name 'a,b'" in err
 
 
 def test_missing_input_reports_error(tmp_path, capsys):
@@ -173,7 +226,7 @@ def test_synth_rejects_unknown_spec(tmp_path):
 def test_threshold_verb_matches_library_cell(tmp_path, capsys):
     img_p, truth_p, img, truth = write_scene(tmp_path)
     rc = main(["threshold", str(img_p), "--truth", str(truth_p),
-               "--entropy", "tsallis", "--q", "2", "--levels", "3",
+               "--entropy", "tsallis:2", "--levels", "3",
                "--seed", "1"])
     assert rc == 0
     rows = csv_rows(capsys.readouterr().out)
@@ -230,8 +283,8 @@ def test_register_verb_recovers_known_shift(tmp_path, capsys):
     mov_p = tmp_path / "mov.pgm"
     ref_p.write_bytes(encode_pgm(img))
     mov_p.write_bytes(encode_pgm(mov))
-    rc = main(["register", str(ref_p), str(mov_p), "--entropy", "renyi",
-               "--alpha", "2", "--true-transform=-3,2,0,1"])
+    rc = main(["register", str(ref_p), str(mov_p), "--entropy", "renyi:2",
+               "--true-transform=-3,2,0,1"])
     assert rc == 0
     rows = csv_rows(capsys.readouterr().out)
     values = {r[5]: float(r[6]) for r in rows}

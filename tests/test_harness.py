@@ -1,7 +1,9 @@
 """Tests for the experiment-matrix runner and its CSV reporting."""
 
 import itertools
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,16 +101,21 @@ def test_emit_csv_rejects_empty(tmp_path):
 
 def test_threshold_params_validation():
     with pytest.raises(ValueError):
-        ThresholdParams(search="random")
-    with pytest.raises(ValueError):
         ThresholdParams(criterion="otsu")
     with pytest.raises(ValueError):
         ThresholdParams(levels=())
     with pytest.raises(ValueError, match="duplicate threshold level 2"):
         ThresholdParams(levels=(2, 1, 2))
+    for levels, bad in [((0, 6), 0), ((2, 6), 6), ((-1,), -1)]:
+        with pytest.raises(ValueError,
+                           match=f"threshold level {bad} outside 1-5"):
+            ThresholdParams(levels=levels)
 
 
 def test_dataset_spec_validation():
+    for name in ("x,y", "x\ry", "x\ny"):
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            DatasetSpec(name=name, source="scene", scene="two-region")
     with pytest.raises(ValueError):
         DatasetSpec(name="d", source="web")
     with pytest.raises(ValueError):
@@ -208,7 +215,6 @@ truth_points = 30
 
 [threshold]
 levels = 2 3
-search = heuristic
 budget = 800
 
 [register]
@@ -234,8 +240,7 @@ def test_parse_config_full(tmp_path):
     assert cfg.out == "results"
     assert cfg.preprocess is False
     assert cfg.truth_points == 30
-    assert cfg.threshold == ThresholdParams(levels=(2, 3), search="heuristic",
-                                            budget=800)
+    assert cfg.threshold == ThresholdParams(levels=(2, 3), budget=800)
     assert cfg.register == RegisterParams(bins=32, budget=400, restarts=2)
     assert cfg.cluster == ClusterParams(k=4, stride=2, sigma=0.05, restarts=1)
     pair, disk = cfg.datasets
@@ -272,10 +277,34 @@ def test_parse_config_names_unknown_sections_and_keys(tmp_path):
              r"\[run\]: unknown keys \['sede'\]"),
             ("[datasets]", "[threshold]\nbins = 256\n\n[datasets]",
              r"\[threshold\]: unknown keys \['bins'\]"),
+            # which search runs at a level is fixed, not a setting
+            ("[datasets]", "[threshold]\nsearch = heuristic\n\n[datasets]",
+             r"\[threshold\]: unknown keys \['search'\]"),
             ("[datasets]", "[clustr]\nk = 4\n\n[datasets]",
              r"unknown section \[clustr\]")]:
         with pytest.raises(ValueError, match=named):
             parse_config(write_config(tmp_path, MINIMAL.replace(old, new)))
+
+
+def test_parse_config_refuses_comma_in_dataset_name(tmp_path):
+    """Schema 1 quotes no field, so the name would split every row."""
+    text = MINIMAL.replace("s1 = ", "x,y = ")
+    with pytest.raises(ValueError, match="dataset name 'x,y'"):
+        parse_config(write_config(tmp_path, text))
+
+
+def test_readme_config_parses(tmp_path):
+    """The README's example config, less its file dataset, whose paths
+    are placeholders, names only keys the parser knows."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    lines = blocks[0].splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith("pic = ")]
+    assert len(kept) == len(lines) - 1
+    cfg = parse_config(write_config(tmp_path, "".join(kept)))
+    assert [d.name for d in cfg.datasets] == ["two", "five"]
 
 
 @pytest.mark.parametrize("old, new, named", [
@@ -357,14 +386,6 @@ def test_run_threshold_cell_cross_entropy_labeling():
     assert rows[0].value == expected
 
 
-def test_run_threshold_cell_heuristic_path_matches_exhaustive():
-    img, _ = small_scene()
-    params = ThresholdParams(search="heuristic", budget=2000)
-    rows = run_threshold_cell(img, None, SHANNON, params, 1, 0, "d")
-    _, expected = exhaustive_search(histogram(img), 1, Criterion(SHANNON))
-    assert rows[0].value == pytest.approx(expected, abs=1e-9)
-
-
 def test_run_threshold_cell_additive_level_4_scores_exact_tuple():
     img, truth = small_scene("five-region", 64, 6.0)
     rows = run_threshold_cell(img, truth, SHANNON,
@@ -439,24 +460,13 @@ def test_run_threshold_cell_runs_exact_search_exactly_where_it_is_exact(
     img = small_support_image()
     kinds = (SHANNON, RENYI2, TSALLIS2, None)
     assert [Criterion(k).max_exact_level for k in kinds] == [5, 5, 3, 5]
-    for kind, search, level in itertools.product(
-            kinds, ("exhaustive", "heuristic"), range(1, 6)):
+    for kind, level in itertools.product(kinds, range(1, 6)):
         crit = Criterion(kind)
         calls.clear()
-        run_threshold_cell(img, None, kind,
-                           ThresholdParams(search=search, budget=250),
+        run_threshold_cell(img, None, kind, ThresholdParams(budget=250),
                            level, 0, "d")
-        exact = search == "exhaustive" and level <= crit.max_exact_level
+        exact = level <= crit.max_exact_level
         assert calls == [("exact" if exact else "es", level, crit)]
-
-
-def test_run_threshold_cell_heuristic_search_at_level_4():
-    img, _ = small_scene("five-region", 64, 6.0)
-    params = ThresholdParams(search="heuristic", budget=1500)
-    rows = run_threshold_cell(img, None, SHANNON, params, 4, 2, "d")
-    _, expected = heuristic_search(histogram(img), 4, Criterion(SHANNON),
-                                   seed=2, budget=1500)
-    assert rows[0].value == expected
 
 
 def test_run_register_cell_self_pair():
