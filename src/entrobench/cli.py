@@ -4,8 +4,9 @@ Verbs: ``threshold``, ``register``, ``cluster`` run one experiment cell
 on PGM inputs and print its report rows as CSV; ``bench`` runs a full
 config-driven matrix; ``synth`` writes synthetic scenes (and, with
 --pair-seed, a registration pair with its ground-truth transform).
-Task verbs share the library code paths with ``bench``, so replaying a
-bench row through the matching verb reproduces its metric value.
+Task verbs read their files as a config's ``file:`` dataset is read and
+run the cell functions ``bench`` runs, so replaying a bench row through
+the matching verb reproduces its metric value.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from pathlib import Path
 from . import __version__
 from .entropy import EntropyKind
 from .harness import (CSV_HEADER, SCHEMA_VERSION, ClusterParams, DatasetSpec,
-                      ThresholdParams, emit_csv, format_row, parse_config,
-                      parse_entropy, run_cluster_cell, run_matrix,
-                      run_register_cell, run_threshold_cell, scored_points)
-from .raster import decode_pgm, encode_pgm, median_filter_3x3
+                      ThresholdParams, _load_dataset, _threshold_kinds,
+                      emit_csv, format_row, parse_config, parse_entropy,
+                      run_cluster_cell, run_matrix, run_register_cell,
+                      run_threshold_cell)
+from .raster import encode_pgm
 from .registration import RegisterConfig, SimilarityTransform
 from .scenes import SCENE_NAMES, named_scene, scene_pair
 
@@ -43,18 +45,12 @@ def _add_entropy_flag(p: argparse.ArgumentParser):
                         "omitted order is 2)")
 
 
-def _load_pgm(path: str):
-    return decode_pgm(Path(path).read_bytes())
-
-
-def _dataset_name(path: str) -> str:
-    """A file input's dataset column: its stem, checked as a config's
-    dataset name is."""
-    return DatasetSpec(name=Path(path).stem, source="file", img_path=path).name
-
-
-def _maybe_filter(img, args):
-    return img if args.no_preprocess else median_filter_3x3(img)
+def _load(args, img_path: str, **paths):
+    """A verb's input files, read as a config's ``file:`` dataset with
+    the image's stem as its name; returns (name, loaded dataset)."""
+    spec = DatasetSpec(name=Path(img_path).stem, source="file",
+                       img_path=img_path, **paths)
+    return spec.name, _load_dataset(spec, not args.no_preprocess)
 
 
 def _finish(rows, out) -> int:
@@ -67,21 +63,16 @@ def _finish(rows, out) -> int:
 
 
 def _cmd_threshold(args, parser) -> int:
-    dataset = _dataset_name(args.image)
-    img = _maybe_filter(_load_pgm(args.image), args)
-    truth = _load_pgm(args.truth) if args.truth else None
-    kind = None if args.criterion == "cross-entropy" else args.kind
     params = ThresholdParams(levels=(args.levels,), budget=args.budget,
                              criterion=args.criterion)
-    rows = run_threshold_cell(img, truth, kind, params, args.levels,
-                              args.seed, dataset, scored_points(args.truth_points))
+    (kind,) = _threshold_kinds(params, (args.kind,))
+    dataset, ds = _load(args, args.image, truth_path=args.truth)
+    rows = run_threshold_cell(ds.img, ds.truth, kind, params, args.levels,
+                              args.seed, dataset, args.truth_points)
     return _finish(rows, args.out)
 
 
 def _cmd_register(args, parser) -> int:
-    dataset = _dataset_name(args.ref)
-    ref = _maybe_filter(_load_pgm(args.ref), args)
-    mov = _maybe_filter(_load_pgm(args.mov), args)
     t_true = None
     if args.true_transform:
         parts = args.true_transform.split(",")
@@ -93,19 +84,18 @@ def _cmd_register(args, parser) -> int:
             parser.error(f"bad --true-transform: {e}")
     params = RegisterConfig(bins=args.bins, budget=args.budget,
                             restarts=args.restarts)
-    rows = run_register_cell(ref, mov, t_true, args.kind, params,
+    dataset, ds = _load(args, args.ref, mov_path=args.mov)
+    rows = run_register_cell(ds.ref, ds.mov, t_true, args.kind, params,
                              args.seed, dataset)
     return _finish(rows, args.out)
 
 
 def _cmd_cluster(args, parser) -> int:
-    dataset = _dataset_name(args.image)
-    img = _maybe_filter(_load_pgm(args.image), args)
-    truth = _load_pgm(args.truth) if args.truth else None
-    params = ClusterParams(k=args.k, stride=args.stride or None,
-                           restarts=args.restarts, sigma=args.sigma or None)
-    rows = run_cluster_cell(img, truth, args.kind, params, args.seed,
-                            dataset, scored_points(args.truth_points))
+    params = ClusterParams(k=args.k, stride=args.stride,
+                           restarts=args.restarts, sigma=args.sigma)
+    dataset, ds = _load(args, args.image, truth_path=args.truth)
+    rows = run_cluster_cell(ds.img, ds.truth, args.kind, params, args.seed,
+                            dataset, args.truth_points)
     return _finish(rows, args.out)
 
 

@@ -61,6 +61,21 @@ _SIGMA_FLOOR = 1e-6
 _MAX_KERNEL_BYTES = _MAX_BUFFER_BYTES  # largest u x u float64 kernel built
 
 
+def _check_k(k: int) -> None:
+    if not 2 <= k <= _MAX_K:
+        raise ValueError(f"k {k} outside [2, {_MAX_K}]")
+
+
+def _check_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+
+
+def _check_stride(stride: int) -> None:
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+
+
 def _lines(size: int, stride: int) -> int:
     """Number of lattice lines 0, stride, 2 stride, ... below size."""
     return len(range(0, size, stride))
@@ -89,8 +104,7 @@ class FeatureSet:
             raise ValueError("feature components outside [0, 1]")
         h, w = (int(x) for x in self.shape)
         s = int(self.stride)
-        if s < 1:
-            raise ValueError("stride must be >= 1")
+        _check_stride(s)
         if f.shape[0] != _lines(h, s) * _lines(w, s):
             raise ValueError(f"{f.shape[0]} samples do not fill the stride-{s} "
                              f"lattice of a {h}x{w} raster")
@@ -118,8 +132,7 @@ class ClusterAssignment:
         lab = np.asarray(self.labels, dtype=np.int64)
         if lab.ndim != 1 or lab.size == 0:
             raise ValueError("labels must be a nonempty 1-D array")
-        if not 2 <= self.k <= _MAX_K:
-            raise ValueError(f"k {self.k} outside [2, {_MAX_K}]")
+        _check_k(self.k)
         counts = np.bincount(lab, minlength=self.k)
         if lab.min() < 0 or lab.max() >= self.k:
             raise ValueError("labels outside [0, k)")
@@ -134,8 +147,7 @@ def extract_features(bands, stride: int = 1) -> FeatureSet:
     Features are intensities / 255 across bands, in row-major lattice
     order; the raster shape and stride are kept for label painting.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    _check_stride(stride)
     imgs = [as_gray(b) for b in bands]
     if not imgs:
         raise ValueError("need at least one band")
@@ -336,12 +348,10 @@ def cluster(xs: FeatureSet, k: int, sigma: float | None = None,
     sigma defaults to silverman_sigma(xs).  When ``trace`` is a dict it
     receives, keyed by restart index, the CEF after each descent pass.
     """
-    if not 2 <= k <= _MAX_K:
-        raise ValueError(f"k {k} outside [2, {_MAX_K}]")
+    _check_k(k)
     if xs.n < 10 * k:
         raise ValueError(f"need at least {10 * k} samples for k={k}, have {xs.n}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    _check_restarts(restarts)
     if sigma is None:
         sigma = silverman_sigma(xs)
     _check_sigma(sigma)

@@ -7,10 +7,14 @@ one CSV row per metric with the schema
     task,entropy,param,dataset,level,metric,value,runtime_s,runtime_cat,seed
 
 Values are printed with 6 significant digits; runtime categories follow
-the low < 30 s, medium 30-60 s, high > 60 s convention.  Cell failures
-become rows with metric "error" and never suppress other cells.  The
-single-cell entry points here are shared by the CLI verbs, so replaying
-any row through the CLI reproduces its metric value exactly.
+the low < 30 s, medium 30-60 s, high > 60 s convention.  A bad setting
+fails when its settings class is built, so ``parse_config`` raises it
+before any cell runs.  A failure that depends on the data, such as an
+unreadable file, a constant image or too few samples, becomes rows with
+metric "error" and never suppresses other cells.  The CLI verbs read
+their files through the loader ``run_matrix`` uses and run the same
+single-cell entry points, so replaying any row through the CLI
+reproduces its metric value exactly.
 """
 
 from __future__ import annotations
@@ -22,14 +26,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import assignment_to_labelmap, cluster, extract_features
+from .clustering import (_check_k, _check_restarts, _check_sigma, _check_stride,
+                         assignment_to_labelmap, cluster, extract_features)
 from .entropy import SHANNON, EntropyKind, entropy, histogram, normalize
 from .metrics import align_labels, confusion, kappa, overall_accuracy
 from .raster import decode_pgm, median_filter_3x3
 from .registration import RegisterConfig, SimilarityTransform, register
-from .scenes import named_scene, scene_pair
-from .thresholding import (MAX_LEVELS, Criterion, apply_thresholds,
-                           exhaustive_search, heuristic_search)
+from .scenes import named_scene, scene_pair, scene_spec
+from .thresholding import (MAX_LEVELS, Criterion, _check_budget,
+                           apply_thresholds, exhaustive_search,
+                           heuristic_search)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -126,6 +132,7 @@ class ThresholdParams:
                 raise ValueError(f"threshold level {level} outside "
                                  f"1-{MAX_LEVELS}")
         _reject_repeats("threshold level", self.levels)
+        _check_budget(self.budget, max(self.levels))
 
 
 # the [register] section is the registration config itself; its seed
@@ -135,10 +142,23 @@ RegisterParams = RegisterConfig
 
 @dataclass(frozen=True)
 class ClusterParams:
+    """A cluster cell's settings, checked when built by the rules
+    ``cluster`` and ``extract_features`` apply: k in [2, 8], restarts at
+    least 1, a stride at least 1 and a positive finite sigma.  A stride
+    or sigma of None or 0 is automatic."""
+
     k: int = 5
     stride: int | None = None  # None or 0: keep samples near 4096 (descent time)
     restarts: int = 2
     sigma: float | None = None  # None or 0: Silverman's rule
+
+    def __post_init__(self):
+        _check_k(self.k)
+        _check_restarts(self.restarts)
+        if self.stride:
+            _check_stride(self.stride)
+        if self.sigma:
+            _check_sigma(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -162,8 +182,13 @@ class DatasetSpec:
                              "or line break")
         if self.source not in ("scene", "file"):
             raise ValueError(f"dataset {self.name}: unknown source {self.source!r}")
-        if self.source == "scene" and not self.scene:
-            raise ValueError(f"dataset {self.name}: missing scene name")
+        if self.source == "scene":
+            if not self.scene:
+                raise ValueError(f"dataset {self.name}: missing scene name")
+            try:
+                scene_spec(self.scene, self.width, self.height, self.noise)
+            except ValueError as e:
+                raise ValueError(f"dataset {self.name}: {e}") from None
         if self.source == "file" and not self.img_path:
             raise ValueError(f"dataset {self.name}: missing image path")
 
@@ -176,7 +201,7 @@ class RunConfig:
     seeds: tuple[int, ...]
     out: str | None = None
     preprocess: bool = True
-    truth_points: int | None = None
+    truth_points: int | None = None  # per class; None or <= 0: every pixel
     threshold: ThresholdParams = field(default_factory=ThresholdParams)
     register: RegisterConfig = field(default_factory=RegisterConfig)
     cluster: ClusterParams = field(default_factory=ClusterParams)
@@ -201,17 +226,26 @@ class RunConfig:
 
 
 def parse_entropy(spec: str) -> EntropyKind:
-    """Parse 'shannon', 'renyi[:alpha]', or 'tsallis[:q]'."""
-    name, _, param = spec.strip().partition(":")
-    if name == "shannon":
-        if param:
-            raise ValueError("shannon takes no parameter")
-        return SHANNON
-    if name == "renyi":
-        return EntropyKind.renyi(float(param)) if param else EntropyKind.renyi()
-    if name == "tsallis":
-        return EntropyKind.tsallis(float(param)) if param else EntropyKind.tsallis()
-    raise ValueError(f"unknown entropy kind {name!r}")
+    """Parse 'shannon', 'renyi[:order]' or 'tsallis[:order]'; an omitted
+    order is 2.  A bad spec raises a ValueError that names it."""
+    name, colon, order = spec.strip().partition(":")
+    try:
+        if name == "shannon":
+            if colon:
+                raise ValueError("shannon takes no parameter")
+            return SHANNON
+        if name not in ("renyi", "tsallis"):
+            raise ValueError(f"unknown entropy kind {name!r}")
+        make = getattr(EntropyKind, name)
+        if not colon:
+            return make()
+        try:
+            value = float(order)
+        except ValueError:
+            raise ValueError(f"order {order!r} is not a number") from None
+        return make(value)
+    except ValueError as e:
+        raise ValueError(f"entropy spec {spec!r}: {e}") from None
 
 
 def _parse_bool(value: str) -> bool:
@@ -309,7 +343,8 @@ def parse_config(path) -> RunConfig:
         params[name] = cls(**{k: readers[k](v) for k, v in values.items()})
     return RunConfig(tasks=tasks, kinds=kinds, datasets=datasets, seeds=seeds,
                      out=run.get("out"), preprocess=_parse_bool(run.get("preprocess", "on")),
-                     truth_points=scored_points(int(run.get("truth_points", "0"))),
+                     truth_points=(int(run["truth_points"]) if "truth_points" in run
+                                   else None),
                      **params)
 
 
@@ -388,8 +423,9 @@ def truth_point_mask(truth: np.ndarray, points_per_class: int,
 
 def _agreement(pred, truth, truth_points, seed) -> tuple[float, float]:
     aligned = align_labels(pred, truth)
-    if truth_points:
-        m = truth_point_mask(truth, truth_points, seed)
+    points = scored_points(truth_points)
+    if points:
+        m = truth_point_mask(truth, points, seed)
         cm = confusion(aligned[m], truth[m])
     else:
         cm = confusion(aligned, truth)
@@ -506,6 +542,12 @@ def run_cluster_cell(img, truth, kind: EntropyKind, params: ClusterParams,
                          params.k, seed, dataset, truth_points)
 
 
+def _threshold_kinds(params: ThresholdParams, kinds) -> tuple:
+    """The kinds threshold cells run under: the configured ones, or the
+    one kind None for the cross-entropy rule, which takes no kind."""
+    return (None,) if params.criterion == "cross-entropy" else tuple(kinds)
+
+
 def _plan(cfg: RunConfig) -> list[tuple[str, EntropyKind | None, str, int]]:
     """One dataset's cells as (task, kind, level, seed), in run order.
 
@@ -517,8 +559,7 @@ def _plan(cfg: RunConfig) -> list[tuple[str, EntropyKind | None, str, int]]:
     for task in cfg.tasks:
         kinds = cfg.kinds
         if task == "threshold":
-            if cfg.threshold.criterion == "cross-entropy":
-                kinds = (None,)
+            kinds = _threshold_kinds(cfg.threshold, kinds)
             levels = [str(level) for level in cfg.threshold.levels]
         else:
             levels = ["-" if task == "register" else str(cfg.cluster.k)]

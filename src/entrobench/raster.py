@@ -198,8 +198,9 @@ class Region:
             raise ValueError("set exactly one of rect or polygon")
         if not 0.0 <= self.mean <= 255.0:
             raise ValueError(f"region mean {self.mean} outside [0, 255]")
-        if self.noise_std < 0:
-            raise ValueError("noise std must be nonnegative")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise std must be nonnegative and finite, "
+                             f"got {self.noise_std!r}")
         if self.polygon is not None and len(self.polygon) < 3:
             raise ValueError("polygon needs at least 3 vertices")
 

@@ -115,10 +115,25 @@ class SimilarityTransform:
 
 @dataclass(frozen=True)
 class RegisterConfig:
+    """``register``'s settings, checked when built.
+
+    ``bins`` is the full-resolution refinement's joint-histogram bin
+    count, a divisor of 256; ``budget`` caps the objective evaluations
+    of the whole search, at least 200; ``restarts`` counts the seeded
+    starts besides the identity one, at least 0.
+    """
+
     bins: int = 64
     budget: int = 2000
     restarts: int = 8
     seed: int = 0
+
+    def __post_init__(self):
+        _check_bins(self.bins)
+        if self.budget < 200:
+            raise ValueError(f"budget {self.budget} below minimum 200")
+        if self.restarts < 0:
+            raise ValueError("restarts must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -438,9 +453,10 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
     exactly ``-mi_objective(...)``, or a fixed penalty where the overlap
     is under 10% of the raster.
 
-    Raises ValueError before the search for a ``bins`` that does not
-    divide 256, for a constant ref or moving image, whose NCCC is
-    undefined, and for rasters over _MAX_PIXELS (about 13 M) pixels.
+    Raises ValueError before the search for a constant ref or moving
+    image, whose NCCC is undefined, and for rasters over _MAX_PIXELS
+    (about 13 M) pixels; a bad ``bins``, budget or restart count is
+    refused earlier, when its ``RegisterConfig`` is built.
     rmse in the result is nan unless true_transform is given; it is
     taken over ``default_control_points``, the four corners plus the
     center.
@@ -451,11 +467,6 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
     if r.shape != m.shape:
         raise ValueError(f"shape mismatch {r.shape} vs {m.shape}")
     _check_size(r.shape)
-    if config.budget < 200:
-        raise ValueError(f"budget {config.budget} below minimum 200")
-    if config.restarts < 0:
-        raise ValueError("restarts must be >= 0")
-    bins = _check_bins(config.bins)
     if r.min() == r.max() or m.min() == m.max():
         # nccc of the result would raise this after the whole search
         raise ValueError("constant image on the valid set")
@@ -494,7 +505,7 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
 
     # a decimated first stage sees shifts scaled by the zoom, which are
     # scaled back for the refinement; both scalings by powers of two are exact
-    halvings, stage_bins = _coarse_stage(r.shape, bins)
+    halvings, stage_bins = _coarse_stage(r.shape, config.bins)
     ra, ma = r, m
     for _ in range(halvings):
         ra, ma = _decimate(ra), _decimate(ma)
@@ -507,7 +518,7 @@ def register(ref, moving, kind: EntropyKind = SHANNON,
     # refinement starts from the stage's best point, so it re-evaluates
     # that point first and best_full starts from the stage's value
     x1 = best_stage["vec"] * np.array([1.0 / zoom, 1.0 / zoom, 1.0, 1.0])
-    best_full = run_stage(r, m, bins, config.budget, [x1],
+    best_full = run_stage(r, m, config.bins, config.budget, [x1],
                           max(1, config.budget - state["n"]), (0.5, 0.5, 0.01, 0.01),
                           1e-4, 1e-9)
 

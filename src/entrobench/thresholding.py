@@ -371,6 +371,12 @@ def _seed_tuples(counts: np.ndarray, k: int,
     return _repair(init, m)
 
 
+def _check_budget(budget: int, k: int) -> None:
+    """The evolution strategy's smallest budget at k thresholds."""
+    if budget < 50 * k:
+        raise ValueError(f"budget {budget} below minimum {50 * k}")
+
+
 def heuristic_search(hist, k: int, criterion: Criterion = Criterion(),
                      seed: int = 0, budget: int = 5000
                      ) -> tuple[tuple[int, ...], float]:
@@ -388,8 +394,7 @@ def heuristic_search(hist, k: int, criterion: Criterion = Criterion(),
     """
     h, occupied, table = _prepare(hist, k, MAX_LEVELS, criterion)
     omq = criterion.omq
-    if budget < 50 * k:
-        raise ValueError(f"budget {budget} below minimum {50 * k}")
+    _check_budget(budget, k)
     m = occupied.size
     cells = _class_cells(k, m)
     rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entrobench
+from entrobench import cli
 from entrobench.cli import _build_parser, main
 from entrobench.entropy import PARAM_GUARD, EntropyKind
 from entrobench.harness import (CSV_HEADER, ClusterParams, DatasetSpec,
-                                ThresholdParams, format_row, parse_entropy,
-                                run_cluster_cell, run_threshold_cell)
+                                ThresholdParams, format_row, parse_config,
+                                parse_entropy, run_cluster_cell, run_matrix,
+                                run_threshold_cell)
 from entrobench.raster import decode_pgm, encode_pgm, median_filter_3x3
 from entrobench.registration import (RegisterConfig, SimilarityTransform,
                                      transform_apply)
@@ -101,7 +104,7 @@ def test_bad_flag_combinations_exit_with_usage(argv):
 
 
 @pytest.mark.parametrize("spec", ["shannon:2", "renyi:1", "tsallis:-2", "gini",
-                                  "renyi:abc"])
+                                  "renyi:abc", "renyi:"])
 def test_bad_entropy_spec_usage_carries_the_parse_message(spec, capsys):
     with pytest.raises(ValueError) as parsed:
         parse_entropy(spec)
@@ -375,9 +378,120 @@ def test_bench_requires_output_directory(tmp_path):
     assert exc.value.code == 2
 
 
+# bad settings, as opposed to bad data: each must fail where it is read,
+# before any cell runs, and not as an error row
+BAD_SETTINGS = {
+    "register-bins": ("[datasets]", "[register]\nbins = 48\n\n[datasets]",
+                      "bins must be a divisor of 256 in [2, 256], got 48"),
+    "register-budget": ("[datasets]", "[register]\nbudget = 100\n\n[datasets]",
+                        "budget 100 below minimum 200"),
+    "cluster-k": ("[datasets]", "[cluster]\nk = 9\n\n[datasets]",
+                  "k 9 outside [2, 8]"),
+    "cluster-restarts": ("[datasets]", "[cluster]\nrestarts = 0\n\n[datasets]",
+                         "restarts must be >= 1"),
+    "cluster-sigma": ("[datasets]", "[cluster]\nsigma = -1\n\n[datasets]",
+                      "sigma must be positive and finite, got -1.0"),
+    "cluster-stride": ("[datasets]", "[cluster]\nstride = -2\n\n[datasets]",
+                       "stride must be >= 1"),
+    "threshold-budget": ("levels = 1", "levels = 1 5\nbudget = 200",
+                         "budget 200 below minimum 250"),
+    "scene-name": ("scene:two-region", "scene:nosuch",
+                   "dataset s1: unknown scene 'nosuch'"),
+    "scene-width": ("width=48", "width=0",
+                    "dataset s1: scene dimensions must be positive"),
+    "scene-noise": ("noise=4", "noise=-3",
+                    "dataset s1: noise std must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("old, new, cause", BAD_SETTINGS.values(),
+                         ids=BAD_SETTINGS.keys())
+def test_bench_bad_setting_fails_before_any_cell(tmp_path, capsys, monkeypatch,
+                                                 old, new, cause):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(BENCH_CFG.replace(old, new), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        parse_config(cfg)
+    monkeypatch.setattr(cli, "run_matrix",
+                        lambda cfg: pytest.fail("a cell ran on a bad setting"))
+    rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and cause in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["cluster", "absent.pgm", "--k", "9"], "k 9 outside [2, 8]"),
+    (["cluster", "absent.pgm", "--stride", "-2"], "stride must be >= 1"),
+    (["register", "absent.pgm", "absent.pgm", "--bins", "48"],
+     "bins must be a divisor of 256"),
+    (["threshold", "absent.pgm", "--levels", "5", "--budget", "200"],
+     "budget 200 below minimum 250"),
+])
+def test_verb_bad_setting_fails_before_its_files_are_read(argv, cause, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cause in err
+
+
 def test_bench_bad_config_reports_error(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("[run]\ntasks = threshold\n", encoding="utf-8")
     rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+PARITY_CFG = """\
+[run]
+tasks = threshold register cluster
+entropies = shannon tsallis:2
+seeds = 2
+preprocess = {preprocess}
+
+[threshold]
+levels = 2
+
+[register]
+budget = 400
+restarts = 1
+
+[cluster]
+k = 3
+stride = 2
+
+[datasets]
+scene = file:{img} truth={truth} mov={mov}
+"""
+
+
+@pytest.mark.parametrize("preprocess", ["on", "off"])
+def test_verbs_match_matrix_rows_of_a_file_dataset(tmp_path, capsys, preprocess):
+    """Each verb's metric columns are the rows run_matrix gives a file:
+    dataset of the same files, with preprocessing on and off.  Without a
+    true transform the register rmse is nan on both sides."""
+    img_p, truth_p, img, _ = write_scene(tmp_path, size=48, seed=1)
+    mov_p = tmp_path / "mov.pgm"
+    mov_p.write_bytes(encode_pgm(transform_apply(
+        img, SimilarityTransform(2.0, -1.0, 0.02, 1.0))[0]))
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(PARITY_CFG.format(preprocess=preprocess, img=img_p,
+                                     truth=truth_p, mov=mov_p), encoding="utf-8")
+    want = sorted(format_row(r).split(",")[:7] + [str(r.seed)]
+                  for r in run_matrix(parse_config(cfg)))
+    assert len(want) == 2 * (2 + 2 + 3) and all(r[5] != "error" for r in want)
+    flags = ["--seed", "2"] + (["--no-preprocess"] if preprocess == "off" else [])
+    got = []
+    for spec in ("shannon", "tsallis:2"):
+        for argv in (["threshold", str(img_p), "--truth", str(truth_p),
+                      "--levels", "2"],
+                     ["register", str(img_p), str(mov_p), "--budget", "400",
+                      "--restarts", "1"],
+                     ["cluster", str(img_p), "--truth", str(truth_p), "--k", "3",
+                      "--stride", "2"]):
+            assert main([*argv, "--entropy", spec, *flags]) == 0
+            got += [r[:7] + [r[9]] for r in csv_rows(capsys.readouterr().out)]
+    assert sorted(got) == want
+    assert {r[6] for r in got if r[5] == "rmse"} == {"nan"}

@@ -110,6 +110,11 @@ def test_threshold_params_validation():
         with pytest.raises(ValueError,
                            match=f"threshold level {bad} outside 1-5"):
             ThresholdParams(levels=levels)
+    # the evolution strategy's minimum, 50 evaluations a threshold, at
+    # the largest level
+    ThresholdParams(levels=(1, 4), budget=200)
+    with pytest.raises(ValueError, match="budget 200 below minimum 250"):
+        ThresholdParams(levels=(5, 1), budget=200)
 
 
 def test_dataset_spec_validation():
@@ -122,6 +127,28 @@ def test_dataset_spec_validation():
         DatasetSpec(name="d", source="scene")
     with pytest.raises(ValueError):
         DatasetSpec(name="d", source="file")
+    for kw, cause in [(dict(scene="nosuch"), "unknown scene 'nosuch'"),
+                      (dict(width=0), "scene dimensions must be positive"),
+                      (dict(height=-4), "scene dimensions must be positive"),
+                      (dict(noise=-3.0), "noise std must be nonnegative"),
+                      (dict(noise=float("nan")), "noise std must be nonnegative")]:
+        with pytest.raises(ValueError, match=f"dataset d: {cause}"):
+            DatasetSpec(**{"name": "d", "source": "scene",
+                           "scene": "two-region", **kw})
+
+
+def test_cluster_params_validation():
+    # None or 0 is automatic for stride and sigma
+    for auto in (None, 0):
+        ClusterParams(stride=auto, sigma=auto)
+    for bad, named in [(dict(k=1), "k 1 outside"), (dict(k=9), "k 9 outside"),
+                       (dict(restarts=0), "restarts must be >= 1"),
+                       (dict(stride=-2), "stride must be >= 1"),
+                       (dict(sigma=-1.0), "sigma must be positive"),
+                       (dict(sigma=float("nan")), "sigma must be positive"),
+                       (dict(sigma=float("inf")), "sigma must be positive")]:
+        with pytest.raises(ValueError, match=named):
+            ClusterParams(**bad)
 
 
 def scene_ds(name="s1"):
@@ -169,6 +196,25 @@ def test_parse_entropy_forms():
 def test_parse_entropy_rejects(spec):
     with pytest.raises(ValueError):
         parse_entropy(spec)
+
+
+@pytest.mark.parametrize("spec, cause", [
+    ("renyi:abc", "order 'abc' is not a number"),
+    ("tsallis:2x", "order '2x' is not a number"),
+    # an empty order would be a second spelling of the default
+    ("renyi:", "order '' is not a number"),
+    ("tsallis:", "order '' is not a number"),
+    ("shannon:", "shannon takes no parameter"),
+    ("renyi:1", "within"),
+    ("gini", "unknown entropy kind 'gini'"),
+])
+def test_parse_entropy_errors_name_the_spec(tmp_path, spec, cause):
+    want = re.escape(f"entropy spec {spec!r}: ") + ".*" + re.escape(cause)
+    with pytest.raises(ValueError, match=want):
+        parse_entropy(spec)
+    text = MINIMAL.replace("renyi:2 tsallis:2", f"renyi:2 {spec}")
+    with pytest.raises(ValueError, match=want):
+        parse_config(write_config(tmp_path, text))
 
 
 def write_config(tmp_path, text):
