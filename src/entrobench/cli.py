@@ -45,6 +45,13 @@ def _add_entropy_flag(p: argparse.ArgumentParser):
                         "omitted order is 2)")
 
 
+def _check_truth_points(args, parser):
+    """--truth-points picks the truth pixels a score reads, so it needs
+    --truth."""
+    if args.truth_points is not None and args.truth is None:
+        parser.error("--truth-points needs --truth")
+
+
 def _load(args, img_path: str, **paths):
     """A verb's input files, read as a config's ``file:`` dataset with
     the image's stem as its name; returns (name, loaded dataset)."""
@@ -63,6 +70,7 @@ def _finish(rows, out) -> int:
 
 
 def _cmd_threshold(args, parser) -> int:
+    _check_truth_points(args, parser)
     params = ThresholdParams(levels=(args.levels,), budget=args.budget,
                              criterion=args.criterion)
     (kind,) = _threshold_kinds(params, (args.kind,))
@@ -91,6 +99,7 @@ def _cmd_register(args, parser) -> int:
 
 
 def _cmd_cluster(args, parser) -> int:
+    _check_truth_points(args, parser)
     params = ClusterParams(k=args.k, stride=args.stride,
                            restarts=args.restarts, sigma=args.sigma)
     dataset, ds = _load(args, args.image, truth_path=args.truth)
@@ -160,9 +169,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "runs")
     p.add_argument("--criterion", choices=("max-entropy", "cross-entropy"),
                    default=ThresholdParams.criterion)
-    p.add_argument("--truth-points", type=int, default=0,
-                   help="evaluate on n sampled truth points per class "
-                        "(default or <= 0: every pixel)")
+    p.add_argument("--truth-points", type=int,
+                   help="evaluate on n sampled truth points per class; "
+                        "needs --truth (default or <= 0: every pixel)")
     p.add_argument("--no-preprocess", action="store_true",
                    help="skip the 3x3 median prefilter")
     p.add_argument("--out", help="directory for rows.csv")
@@ -195,7 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="kernel width (default or 0: Silverman's rule)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=ClusterParams.restarts)
-    p.add_argument("--truth-points", type=int, default=0)
+    p.add_argument("--truth-points", type=int,
+                   help="as for threshold; needs --truth")
     p.add_argument("--no-preprocess", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_cluster)

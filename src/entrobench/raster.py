@@ -33,6 +33,10 @@ _MAX_BUFFER_BYTES = 1 << 30
 # median_filter_3x3 peaks at 12 B per pixel, measured: the padded copy
 # and the network's live uint8 temporaries
 _MAX_FILTER_PIXELS = _MAX_BUFFER_BYTES // 12
+# generate_scene peaks at 46 B per pixel, measured on the five-region
+# layout: int32 labels, a polygon test's float64 grids, and the float64
+# noise and values
+_MAX_SCENE_PIXELS = _MAX_BUFFER_BYTES // 46
 
 
 class PgmError(ValueError):
@@ -216,6 +220,10 @@ class SceneSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("scene dimensions must be positive")
+        if self.width * self.height > _MAX_SCENE_PIXELS:
+            raise ValueError(f"a {self.height}x{self.width} scene has "
+                             f"{self.width * self.height} pixels, over the "
+                             f"{_MAX_SCENE_PIXELS} pixel limit of the scene buffers")
         if len(self.regions) < 2:
             raise ValueError("a scene needs at least 2 regions")
         means = [r.mean for r in self.regions]

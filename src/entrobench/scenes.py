@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .raster import Region, SceneSpec, generate_scene
-from .registration import SimilarityTransform, transform_apply
+from .registration import SimilarityTransform, _check_size, transform_apply
 
 __all__ = [
     "SCENE_NAMES",
@@ -81,10 +81,12 @@ def scene_pair(name: str, width: int = 256, height: int = 256,
     pixel sourced from real canvas content.  Equal margins preserve the
     transform parameters in crop coordinates, so the returned truth is
     exactly the transform registration should recover: the one mapping
-    the moving image back onto the reference.
+    the moving image back onto the reference.  A canvas over the warp's
+    pixel limit is refused before it is rendered.
     """
-    canvas, _ = named_scene(name, width + 2 * _PAIR_MARGIN,
-                            height + 2 * _PAIR_MARGIN, noise, seed)
+    w, h = width + 2 * _PAIR_MARGIN, height + 2 * _PAIR_MARGIN
+    _check_size((h, w))
+    canvas, _ = named_scene(name, w, h, noise, seed)
     rng = np.random.default_rng((pair_seed, 1))
     t_gen = SimilarityTransform(
         dx=rng.uniform(-5.0, 5.0),

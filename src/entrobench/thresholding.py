@@ -22,7 +22,9 @@ Exact search comes first: ``exhaustive_search`` is exact for k up to
 ``Criterion.max_exact_level``.  The additive criteria (Shannon, Renyi,
 cross entropy) are solved at every level by a dynamic program over the
 class table, and Tsallis up to k = 3 by enumerating tuples of occupied
-bins.  Both break ties toward the lexicographically smallest tuple.
+bins, split at their last-but-one threshold: each value of it scores
+all its tuples as one outer combination of the classes before and
+after it.  Both break ties toward the lexicographically smallest tuple.
 ``heuristic_search`` is a seeded (mu + lambda) evolution strategy usable
 up to k = 5 and run by the harness only for Tsallis at k = 4-5, where no
 cheap exact method exists; it too searches occupied bins on the same table.
@@ -247,10 +249,15 @@ def _tsallis_enumerate(table, omq, k: int) -> tuple[int, ...]:
     """Exact enumeration for the pseudo-additive Tsallis composition.
 
     ``table`` is the occupied-bin table and the tuple indexes occupied
-    bins: every bin but the last is a candidate threshold.  Tuples are
-    scored in ascending order, so argmax ties resolve to the
-    lexicographically smallest tuple.  Every class of such a tuple holds
-    an occupied bin, so each one has mass.
+    bins: every bin but the last is a candidate threshold.  For k = 2-3
+    tuples split at their last-but-one threshold b: the classes before b
+    give one (sum, product) vector over t1 < b (one class for k = 2),
+    the two after it a row over the last threshold, and their outer
+    combination scores every tuple through b, summing and multiplying
+    the class terms left to right.  A tie at a later b wins only with a
+    smaller tuple, so ties resolve to the lexicographically smallest
+    tuple.  Every class of such a tuple holds an occupied bin, so each
+    one has mass.
     """
     n = table.shape[0] - 1
     first = table[0, :n]                    # class [0, t1]
@@ -260,27 +267,17 @@ def _tsallis_enumerate(table, omq, k: int) -> tuple[int, ...]:
         tot = first + last + omq * first * last
         return (int(np.argmax(tot)),)
     best_val, best = -np.inf, None
-    # a prefix fixes the thresholds before the last two: none for k = 2,
-    # t1 = i for k = 3; ``a`` is the first candidate left for t_{k-1}.
-    # Blocks keep row-major order, so ties stay lexicographic
-    if k == 2:
-        prefixes = [((), 0.0, 1.0, first, 0)]
-    else:
-        prefixes = [((i,), first[i], first[i], mid[i], i + 1) for i in range(n - 2)]
-    upper = np.triu(np.ones((n, n), dtype=bool))
-    for pre, s0, p0, row, a in prefixes:
-        head = row[a:n - 1]
-        body = mid[a:n - 1, a + 1:]
-        end = last[a + 1:]
-        S = s0 + head[:, None] + body + end[None, :]
-        P = p0 * head[:, None] * body * end[None, :]
-        tot = np.where(upper[:n - 1 - a, :n - 1 - a], S + omq * P, -np.inf)
-        flat = int(np.argmax(tot))
-        val = tot.flat[flat]
-        if val > best_val:
-            j, l = divmod(flat, tot.shape[1])
-            best_val = val
-            best = pre + (a + j, a + 1 + l)
+    for b in range(k - 2, n - 1):
+        if k == 2:
+            s = p = first[b:b + 1]
+        else:
+            s, p = first[:b] + mid[:b, b], first[:b] * mid[:b, b]
+        row, end = mid[b, b + 1:], last[b + 1:]
+        tot = s[:, None] + row + end + omq * (p[:, None] * row * end)
+        i, j = divmod(int(np.argmax(tot)), tot.shape[1])
+        t = (i,) * (k - 2) + (b, b + 1 + j)
+        if tot[i, j] > best_val or (tot[i, j] == best_val and t < best):
+            best_val, best = tot[i, j], t
     return best
 
 

@@ -96,11 +96,22 @@ def test_unknown_verb_rejected(capsys):
     ["threshold", "x.pgm", "--search", "heuristic"],
     ["register", "r.pgm", "m.pgm", "--entropy", "renyi", "--alpha", "2"],
     ["cluster", "x.pgm", "--entropy", "tsallis", "--q", "2"],
+    ["threshold", "x.pgm", "--truth-points", "5"],
+    ["cluster", "x.pgm", "--truth-points", "5", "--k", "2"],
 ])
 def test_bad_flag_combinations_exit_with_usage(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verb", ["threshold", "cluster"])
+def test_truth_points_without_truth_names_both_flags(verb, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "x.pgm", "--truth-points", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "--truth-points needs --truth")
 
 
 @pytest.mark.parametrize("spec", ["shannon:2", "renyi:1", "tsallis:-2", "gini",

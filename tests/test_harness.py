@@ -131,7 +131,10 @@ def test_dataset_spec_validation():
                       (dict(width=0), "scene dimensions must be positive"),
                       (dict(height=-4), "scene dimensions must be positive"),
                       (dict(noise=-3.0), "noise std must be nonnegative"),
-                      (dict(noise=float("nan")), "noise std must be nonnegative")]:
+                      (dict(noise=float("nan")), "noise std must be nonnegative"),
+                      (dict(width=100000, height=100000),
+                       "a 100000x100000 scene has 10000000000 pixels, "
+                       "over the 23342213 pixel limit")]:
         with pytest.raises(ValueError, match=f"dataset d: {cause}"):
             DatasetSpec(**{"name": "d", "source": "scene",
                            "scene": "two-region", **kw})

@@ -173,6 +173,18 @@ def test_scene_spec_validation():
         SceneSpec(4, 4, (r, Region(mean=10.0, rect=(0.5, 0, 1, 1))))
 
 
+def test_scene_spec_refuses_oversized_scene():
+    """The bound is checked when the spec is built, before any render."""
+    assert raster._MAX_SCENE_PIXELS == 23_342_213  # 1 GiB at 46 B per pixel
+    regions = (Region(mean=10.0, rect=(0, 0, 1, 1)),
+               Region(mean=20.0, rect=(0.5, 0, 1, 1)))
+    with pytest.raises(ValueError, match=(
+            f"a 100000x100000 scene has 10000000000 pixels, over the "
+            f"{raster._MAX_SCENE_PIXELS} pixel limit")):
+        SceneSpec(100000, 100000, regions)
+    SceneSpec(4096, 4096, regions)  # a 4096^2 scene is within it
+
+
 def test_generate_scene_two_region_zero_noise():
     spec = two_region_spec(width=32, height=32, noise=0.0)
     img, labels = generate_scene(spec, seed=1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from entrobench import registration, scenes
 from entrobench.registration import nccc, transform_apply
 from entrobench.scenes import (SCENE_NAMES, five_region_spec, named_scene,
                                scene_pair, scene_spec, two_region_spec)
@@ -62,6 +63,20 @@ def test_named_scene_seed_moves_noise_not_truth():
     b_img, b_truth = named_scene("two-region", 64, 64, 8.0, 1)
     assert not np.array_equal(a_img, b_img)
     assert np.array_equal(a_truth, b_truth)
+
+
+def test_scene_pair_refuses_oversized_canvas_before_rendering(monkeypatch):
+    """A 3600^2 pair is within the warp's limit, but its 3680^2 canvas
+    is not, and is refused without being rendered."""
+    def no_render(*args):
+        raise AssertionError("the canvas was rendered")
+
+    monkeypatch.setattr(scenes, "named_scene", no_render)
+    assert 3600 * 3600 <= registration._MAX_PIXELS < 3680 * 3680
+    with pytest.raises(ValueError, match=(
+            f"a 3680x3680 raster has 13542400 pixels, over the "
+            f"{registration._MAX_PIXELS} pixel limit")):
+        scene_pair("two-region", 3600, 3600)
 
 
 def test_scene_pair_shapes_and_determinism():

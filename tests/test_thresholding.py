@@ -321,6 +321,42 @@ def test_tsallis_occupied_bins_match_full_grid(k, q):
         assert t == full_grid_tsallis(h, k, q), h.tolist()
 
 
+@st.composite
+def tied_histograms(draw):
+    """4-32 bins of empty runs and two spike counts, half of them
+    mirrored.  A one-spike class scores 0, and a class and its mirror
+    image score the same bits, so distinct tuples tie exactly, also
+    tuples whose last-but-one thresholds differ."""
+    codes = draw(st.lists(st.sampled_from((0, 0, 1, 1, 2)),
+                          min_size=4, max_size=32))
+    h = np.array([0, draw(st.integers(1, 9)), draw(st.integers(1, 9))])[codes]
+    if draw(st.booleans()):
+        half = h[:(h.size + 1) // 2]
+        h = np.concatenate((half, half[::-1][h.size % 2:]))
+    return h
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=tied_histograms(), q=st.sampled_from((0.5, 2.0, 3.0)))
+def test_tsallis_enumeration_matches_full_grid_on_tied_histograms(h, q):
+    crit = Criterion(EntropyKind.tsallis(q))
+    for k in (1, 2, 3):
+        if np.count_nonzero(h) >= k + 1:
+            t, _ = exhaustive_search(h, k, crit)
+            assert t == full_grid_tsallis(h, k, q)
+
+
+def test_tsallis_tie_across_pivots_keeps_the_smallest_tuple():
+    """(2, 3, 5) and (1, 4, 5) tie bit for bit.  The enumeration meets
+    (2, 3, 5) first, at the smaller last-but-one threshold, and must
+    still return (1, 4, 5)."""
+    h = np.array([5, 1, 5, 1, 5, 1, 5, 1, 5])
+    assert criterion_value(h, (2, 3, 5), TSALLIS_C) == \
+        criterion_value(h, (1, 4, 5), TSALLIS_C)
+    t, _ = exhaustive_search(h, 3, TSALLIS_C)
+    assert t == (1, 4, 5) == full_grid_tsallis(h, 3, 2.0)
+
+
 def test_heuristic_thresholds_lie_on_occupied_bins():
     # a threshold on an empty bin splits off the same classes as the
     # occupied bin that starts its run, which the exact searches return
