@@ -18,11 +18,11 @@ from pathlib import Path
 
 from . import __version__
 from .entropy import EntropyKind
-from .harness import (CSV_HEADER, SCHEMA_VERSION, ClusterParams, DatasetSpec,
-                      ThresholdParams, _load_dataset, _threshold_kinds,
-                      emit_csv, format_row, parse_config, parse_entropy,
-                      run_cluster_cell, run_matrix, run_register_cell,
-                      run_threshold_cell)
+from .harness import (_DATA_ERRORS, CSV_HEADER, SCHEMA_VERSION, ClusterParams,
+                      DatasetSpec, ThresholdParams, _auto, _check_truth_points,
+                      _load_dataset, _threshold_kinds, emit_csv, format_row,
+                      parse_config, parse_entropy, run_cluster_cell,
+                      run_matrix, run_register_cell, run_threshold_cell)
 from .raster import encode_pgm
 from .registration import RegisterConfig, SimilarityTransform
 from .scenes import SCENE_NAMES, named_scene, scene_pair
@@ -37,19 +37,13 @@ def _entropy_spec(spec: str) -> EntropyKind:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _add_entropy_flag(p: argparse.ArgumentParser):
-    p.add_argument("--entropy", dest="kind", type=_entropy_spec,
-                   default="shannon", metavar="SPEC",
-                   help="entropy kind as name[:order], e.g. shannon, "
-                        "renyi:2 or tsallis:0.5 (default shannon; an "
-                        "omitted order is 2)")
-
-
-def _check_truth_points(args, parser):
+def _check_truth_flags(args, parser):
     """--truth-points picks the truth pixels a score reads, so it needs
-    --truth."""
-    if args.truth_points is not None and args.truth is None:
-        parser.error("--truth-points needs --truth")
+    --truth; a count below 1 fails before any file is read."""
+    if args.truth_points is not None:
+        if args.truth is None:
+            parser.error("--truth-points needs --truth")
+        _check_truth_points(args.truth_points)
 
 
 def _load(args, img_path: str, **paths):
@@ -70,7 +64,7 @@ def _finish(rows, out) -> int:
 
 
 def _cmd_threshold(args, parser) -> int:
-    _check_truth_points(args, parser)
+    _check_truth_flags(args, parser)
     params = ThresholdParams(levels=(args.levels,), budget=args.budget,
                              criterion=args.criterion)
     (kind,) = _threshold_kinds(params, (args.kind,))
@@ -99,7 +93,7 @@ def _cmd_register(args, parser) -> int:
 
 
 def _cmd_cluster(args, parser) -> int:
-    _check_truth_points(args, parser)
+    _check_truth_flags(args, parser)
     params = ClusterParams(k=args.k, stride=args.stride,
                            restarts=args.restarts, sigma=args.sigma)
     dataset, ds = _load(args, args.image, truth_path=args.truth)
@@ -156,58 +150,61 @@ def _build_parser() -> argparse.ArgumentParser:
         version=f"entrobench {__version__} (csv schema {SCHEMA_VERSION})")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("threshold", help="threshold one image, score vs truth")
-    p.add_argument("image", help="input PGM")
-    p.add_argument("--truth", help="ground-truth label PGM")
-    _add_entropy_flag(p)
+    # the flags of every task verb, and the input of each verb that
+    # scores one image against truth
+    cell = argparse.ArgumentParser(add_help=False)
+    cell.add_argument("--entropy", dest="kind", type=_entropy_spec,
+                      default="shannon", metavar="SPEC",
+                      help="entropy kind as name[:order], e.g. shannon, "
+                           "renyi:2 or tsallis:0.5 (default shannon; an "
+                           "omitted order is 2)")
+    cell.add_argument("--seed", type=int, default=0,
+                      help="the cell's seed (default 0)")
+    cell.add_argument("--no-preprocess", action="store_true",
+                      help="skip the 3x3 median prefilter")
+    cell.add_argument("--out", help="directory for rows.csv")
+    scored = argparse.ArgumentParser(add_help=False)
+    scored.add_argument("image", help="input PGM")
+    scored.add_argument("--truth", help="ground-truth label PGM")
+    scored.add_argument("--truth-points", type=int, metavar="N",
+                        help="score N >= 1 sampled truth pixels per class; "
+                             "needs --truth (default: every pixel)")
+
+    p = sub.add_parser("threshold", parents=[cell, scored],
+                       help="threshold one image, score vs truth")
     p.add_argument("--levels", type=int, default=ThresholdParams.levels[0],
                    help="threshold count")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=ThresholdParams.budget,
                    help="evolution-strategy evaluation budget, used only "
                         "for Tsallis at levels 4-5, where no exact search "
                         "runs")
     p.add_argument("--criterion", choices=("max-entropy", "cross-entropy"),
                    default=ThresholdParams.criterion)
-    p.add_argument("--truth-points", type=int,
-                   help="evaluate on n sampled truth points per class; "
-                        "needs --truth (default or <= 0: every pixel)")
-    p.add_argument("--no-preprocess", action="store_true",
-                   help="skip the 3x3 median prefilter")
-    p.add_argument("--out", help="directory for rows.csv")
     p.set_defaults(func=_cmd_threshold)
 
-    p = sub.add_parser("register", help="register a moving PGM onto a reference")
+    p = sub.add_parser("register", parents=[cell],
+                       help="register a moving PGM onto a reference")
     p.add_argument("ref")
     p.add_argument("mov")
-    _add_entropy_flag(p)
     p.add_argument("--bins", type=int, default=RegisterConfig.bins,
                    help="joint-histogram bins of the full-resolution refinement "
                         "(a divisor of 256); the coarse first stage uses at most 16")
-    p.add_argument("--seed", type=int, default=RegisterConfig.seed)
     p.add_argument("--budget", type=int, default=RegisterConfig.budget)
     p.add_argument("--restarts", type=int, default=RegisterConfig.restarts)
     p.add_argument("--true-transform",
                    help="ground truth as dx,dy,theta,s for the rmse row")
-    p.add_argument("--no-preprocess", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_register)
 
-    p = sub.add_parser("cluster", help="cluster pixel features, score vs truth")
-    p.add_argument("image")
-    p.add_argument("--truth")
-    _add_entropy_flag(p)
+    p = sub.add_parser("cluster", parents=[cell, scored],
+                       help="cluster pixel features, score vs truth")
     p.add_argument("--k", type=int, default=ClusterParams.k, help="cluster count")
-    p.add_argument("--stride", type=int, default=ClusterParams.stride,
-                   help="sample stride (default or 0: auto, about 4096 samples)")
-    p.add_argument("--sigma", type=float, default=ClusterParams.sigma,
-                   help="kernel width (default or 0: Silverman's rule)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--stride", type=_auto(int), default=ClusterParams.stride,
+                   help="sample stride, >= 1, or auto: about 4096 samples "
+                        "(default auto)")
+    p.add_argument("--sigma", type=_auto(float), default=ClusterParams.sigma,
+                   help="kernel width, > 0, or auto: Silverman's rule "
+                        "(default auto)")
     p.add_argument("--restarts", type=int, default=ClusterParams.restarts)
-    p.add_argument("--truth-points", type=int,
-                   help="as for threshold; needs --truth")
-    p.add_argument("--no-preprocess", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("bench", help="run a config-driven experiment matrix")
@@ -233,6 +230,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (ValueError, OSError) as e:
+    except _DATA_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

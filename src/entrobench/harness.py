@@ -7,11 +7,12 @@ one CSV row per metric with the schema
     task,entropy,param,dataset,level,metric,value,runtime_s,runtime_cat,seed
 
 Values are printed with 6 significant digits; runtime categories follow
-the low < 30 s, medium 30-60 s, high > 60 s convention.  A bad setting
-fails when its settings class is built, so ``parse_config`` raises it
-before any cell runs.  A failure that depends on the data, such as an
-unreadable file, a constant image or too few samples, becomes rows with
-metric "error" and never suppresses other cells.  The CLI verbs read
+the low < 30 s, medium 30-60 s, high > 60 s convention.  Each setting
+has one reader, and a bad one fails naming its key or when its settings
+class is built, so ``parse_config`` raises it before any cell runs.  A
+failure that depends on the data, such as an unreadable file, a constant
+image or too few samples, becomes rows with metric "error" and never
+suppresses other cells.  The CLI verbs read
 their files through the loader ``run_matrix`` uses and run the same
 single-cell entry points, so replaying any row through the CLI
 reproduces its metric value exactly.
@@ -30,9 +31,9 @@ from .clustering import (_check_k, _check_restarts, _check_sigma, _check_stride,
                          assignment_to_labelmap, cluster, extract_features)
 from .entropy import SHANNON, EntropyKind, entropy, histogram, normalize
 from .metrics import align_labels, confusion, kappa, overall_accuracy
-from .raster import decode_pgm, median_filter_3x3
+from .raster import PgmError, decode_pgm, median_filter_3x3
 from .registration import RegisterConfig, SimilarityTransform, register
-from .scenes import named_scene, scene_pair, scene_spec
+from .scenes import _warp_shape, named_scene, scene_pair, scene_spec
 from .thresholding import (MAX_LEVELS, Criterion, _check_budget,
                            apply_thresholds, exhaustive_search,
                            heuristic_search)
@@ -62,6 +63,8 @@ CSV_HEADER = "task,entropy,param,dataset,level,metric,value,runtime_s,runtime_ca
 
 _TASKS = ("threshold", "register", "cluster")
 _TARGET_SAMPLES = 4096  # auto stride bounds the per-sample descent time
+# failures on the data (PgmError and LinAlgError are ValueErrors)
+_DATA_ERRORS = (ValueError, OSError)
 
 
 def runtime_category(seconds: float) -> str:
@@ -145,19 +148,19 @@ class ClusterParams:
     """A cluster cell's settings, checked when built by the rules
     ``cluster`` and ``extract_features`` apply: k in [2, 8], restarts at
     least 1, a stride at least 1 and a positive finite sigma.  A stride
-    or sigma of None or 0 is automatic."""
+    or sigma of None is automatic."""
 
     k: int = 5
-    stride: int | None = None  # None or 0: keep samples near 4096 (descent time)
+    stride: int | None = None  # None: keep samples near 4096 (descent time)
     restarts: int = 2
-    sigma: float | None = None  # None or 0: Silverman's rule
+    sigma: float | None = None  # None: Silverman's rule
 
     def __post_init__(self):
         _check_k(self.k)
         _check_restarts(self.restarts)
-        if self.stride:
+        if self.stride is not None:
             _check_stride(self.stride)
-        if self.sigma:
+        if self.sigma is not None:
             _check_sigma(self.sigma)
 
 
@@ -193,6 +196,11 @@ class DatasetSpec:
             raise ValueError(f"dataset {self.name}: missing image path")
 
 
+def _check_truth_points(points: int) -> None:
+    if points < 1:
+        raise ValueError(f"truth points per class must be >= 1, got {points}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     tasks: tuple[str, ...]
@@ -201,7 +209,7 @@ class RunConfig:
     seeds: tuple[int, ...]
     out: str | None = None
     preprocess: bool = True
-    truth_points: int | None = None  # per class; None or <= 0: every pixel
+    truth_points: int | None = None  # per class, at least 1; None: every pixel
     threshold: ThresholdParams = field(default_factory=ThresholdParams)
     register: RegisterConfig = field(default_factory=RegisterConfig)
     cluster: ClusterParams = field(default_factory=ClusterParams)
@@ -223,6 +231,15 @@ class RunConfig:
         _reject_repeats("entropy kind", self.kinds)
         _reject_repeats("seed", self.seeds)
         _reject_repeats("dataset name", [d.name for d in self.datasets])
+        if self.truth_points is not None:
+            _check_truth_points(self.truth_points)
+        # a scene too large to warp fails here, before it is rendered
+        for d in self.datasets:
+            if "register" in self.tasks and d.source == "scene":
+                try:
+                    _warp_shape(d.width, d.height, d.pair_seed is not None)
+                except ValueError as e:
+                    raise ValueError(f"dataset {d.name}: {e}") from None
 
 
 def parse_entropy(spec: str) -> EntropyKind:
@@ -249,102 +266,99 @@ def parse_entropy(spec: str) -> EntropyKind:
 
 
 def _parse_bool(value: str) -> bool:
-    v = value.strip().lower()
-    if v in ("on", "true", "yes", "1"):
-        return True
-    if v in ("off", "false", "no", "0"):
-        return False
-    raise ValueError(f"bad boolean {value!r}")
+    try:  # on/off, true/false, yes/no, 1/0, as configparser reads them
+        return configparser.ConfigParser.BOOLEAN_STATES[value.strip().lower()]
+    except KeyError:
+        raise ValueError(f"bad boolean {value!r}") from None
 
 
-def _levels(value: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in value.split())
+def _words(read):
+    """A reader of a space-separated list, each word read by ``read``."""
+    return lambda value: tuple(read(word) for word in value.split())
 
 
 def _auto(read):
     """A reader that maps "auto" to None, the task's own choice."""
-    return lambda value: None if value == "auto" else read(value)
+    def auto_or(value):
+        return None if value == "auto" else read(value)
+    auto_or.__name__ = f"{read.__name__} or auto"  # argparse's usage error names it
+    return auto_or
 
 
-# a reader per key of each parameter section, keyed like the section's
-# dataclass fields; a key a config leaves out keeps its dataclass
-# default, and any other key fails instead of being ignored
+def _read(where: str, values, readers: dict) -> dict:
+    """Each key's value read by the key's reader.  An unknown key, or a
+    value its reader refuses, fails naming ``where`` and the key."""
+    bad = set(values) - set(readers)
+    if bad:
+        raise ValueError(f"{where}: unknown keys {sorted(bad)}")
+    read = {}
+    for key, value in values.items():
+        try:
+            read[key] = readers[key](value)
+        except ValueError as e:
+            raise ValueError(f"{where}: {key}: {e}") from None
+    return read
+
+
+# a reader per key, keyed by the config's own key names; a key a config
+# leaves out keeps its dataclass default, and any other key fails
+# instead of being ignored
+_RUN_KEYS = {"tasks": _words(str), "entropies": _words(parse_entropy),
+             "seeds": _words(int), "out": str, "preprocess": _parse_bool,
+             "truth_points": int}
 _PARAM_SECTIONS = {
-    "threshold": (ThresholdParams, {"levels": _levels, "budget": int,
+    "threshold": (ThresholdParams, {"levels": _words(int), "budget": int,
                                     "criterion": str}),
     "register": (RegisterConfig, {"bins": int, "budget": int, "restarts": int}),
     "cluster": (ClusterParams, {"k": int, "stride": _auto(int),
                                 "restarts": int, "sigma": _auto(float)}),
 }
-_RUN_KEYS = {"tasks", "entropies", "seeds", "out", "preprocess", "truth_points"}
 _SCENE_KEYS = {"width": int, "height": int, "noise": float, "seed": int,
                "pair_seed": int}
+_FILE_KEYS = {"truth": str, "mov": str}
 
 
 def _parse_dataset(name: str, value: str) -> DatasetSpec:
+    where = f"dataset {name}"
     tokens = value.split()
     if not tokens:
-        raise ValueError(f"dataset {name}: empty definition")
+        raise ValueError(f"{where}: empty definition")
     head = tokens[0]
     opts = {}
     for tok in tokens[1:]:
-        if "=" not in tok:
-            raise ValueError(f"dataset {name}: bad token {tok!r}")
-        k, v = tok.split("=", 1)
-        opts[k] = v
+        key, eq, text = tok.partition("=")
+        if not eq:
+            raise ValueError(f"{where}: bad token {tok!r}")
+        opts[key] = text
     if head.startswith("scene:"):
-        bad = set(opts) - set(_SCENE_KEYS)
-        if bad:
-            raise ValueError(f"dataset {name}: unknown keys {sorted(bad)}")
         return DatasetSpec(name=name, source="scene", scene=head[len("scene:"):],
-                           **{k: _SCENE_KEYS[k](v) for k, v in opts.items()})
+                           **_read(where, opts, _SCENE_KEYS))
     if head.startswith("file:"):
-        allowed = {"truth", "mov"}
-        bad = set(opts) - allowed
-        if bad:
-            raise ValueError(f"dataset {name}: unknown keys {sorted(bad)}")
+        opts = _read(where, opts, _FILE_KEYS)
         return DatasetSpec(name=name, source="file", img_path=head[len("file:"):],
                            truth_path=opts.get("truth"), mov_path=opts.get("mov"))
-    raise ValueError(f"dataset {name}: expected scene:<name> or file:<path>")
+    raise ValueError(f"{where}: expected scene:<name> or file:<path>")
 
 
 def parse_config(path) -> RunConfig:
     """Read a sectioned key = value config file into a RunConfig."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
-    text = Path(path).read_text(encoding="utf-8")
-    cp.read_string(text, source=str(path))
-    # [datasets] keys are dataset names
-    for name in [n for n in cp.sections() if n != "datasets"]:
-        if name == "run":
-            keys = _RUN_KEYS
-        elif name in _PARAM_SECTIONS:
-            keys = set(_PARAM_SECTIONS[name][1])
-        else:
+    cp.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+    for name in cp.sections():
+        if name not in ("run", "datasets", *_PARAM_SECTIONS):
             raise ValueError(f"config: unknown section [{name}]")
-        bad = set(cp[name]) - keys
-        if bad:
-            raise ValueError(f"config [{name}]: unknown keys {sorted(bad)}")
-    if "run" not in cp:
-        raise ValueError("config missing [run] section")
-    run = cp["run"]
+    run = _read("config [run]", cp["run"] if "run" in cp else {}, _RUN_KEYS)
     for key in ("tasks", "entropies", "seeds"):
         if key not in run:
             raise ValueError(f"config [run] missing {key!r}")
     if "datasets" not in cp or not cp["datasets"]:
         raise ValueError("config missing [datasets] entries")
-    tasks = tuple(run["tasks"].split())
-    kinds = tuple(parse_entropy(s) for s in run["entropies"].split())
-    seeds = tuple(int(s) for s in run["seeds"].split())
     datasets = tuple(_parse_dataset(n, v) for n, v in cp["datasets"].items())
-    params = {}
-    for name, (cls, readers) in _PARAM_SECTIONS.items():
-        values = cp[name] if name in cp else {}
-        params[name] = cls(**{k: readers[k](v) for k, v in values.items()})
-    return RunConfig(tasks=tasks, kinds=kinds, datasets=datasets, seeds=seeds,
-                     out=run.get("out"), preprocess=_parse_bool(run.get("preprocess", "on")),
-                     truth_points=(int(run["truth_points"]) if "truth_points" in run
-                                   else None),
+    params = {name: cls(**_read(f"config [{name}]",
+                                cp[name] if name in cp else {}, readers))
+              for name, (cls, readers) in _PARAM_SECTIONS.items()}
+    return RunConfig(kinds=run.pop("entropies"), datasets=datasets, **run,
                      **params)
 
 
@@ -357,6 +371,15 @@ class _Loaded:
     t_true: SimilarityTransform | None
 
 
+def _read_pgm(path: str) -> np.ndarray:
+    """The PGM file at path, decoded; a malformed one fails naming it."""
+    try:
+        return decode_pgm(Path(path).read_bytes())
+    except PgmError as e:
+        e.args = (f"{path}: {e}",)
+        raise
+
+
 def _load_dataset(spec: DatasetSpec, preprocess: bool) -> _Loaded:
     if spec.source == "scene":
         img, truth = named_scene(spec.scene, spec.width, spec.height,
@@ -367,12 +390,11 @@ def _load_dataset(spec: DatasetSpec, preprocess: bool) -> _Loaded:
         else:
             ref, mov, t_true = img, img, SimilarityTransform.identity()
     else:
-        img = decode_pgm(Path(spec.img_path).read_bytes())
-        truth = (decode_pgm(Path(spec.truth_path).read_bytes())
-                 if spec.truth_path else None)
+        img = _read_pgm(spec.img_path)
+        truth = _read_pgm(spec.truth_path) if spec.truth_path else None
         if spec.mov_path:
             ref = img
-            mov = decode_pgm(Path(spec.mov_path).read_bytes())
+            mov = _read_pgm(spec.mov_path)
             t_true = None
         else:
             ref, mov, t_true = img, img, SimilarityTransform.identity()
@@ -399,17 +421,10 @@ def _rows(task: str, kind: EntropyKind | None, dataset: str, level: str,
             for metric, value in metrics.items()]
 
 
-def scored_points(n: int | None) -> int | None:
-    """The truth-points setting: n points per class when n is positive,
-    else None, which scores every pixel."""
-    return n if n is not None and n > 0 else None
-
-
 def truth_point_mask(truth: np.ndarray, points_per_class: int,
                      seed: int) -> np.ndarray:
     """Seeded subsample of evaluation positions, n per true class."""
-    if points_per_class < 1:
-        raise ValueError("points per class must be >= 1")
+    _check_truth_points(points_per_class)
     rng = np.random.default_rng((seed, 7919))
     mask = np.zeros(truth.size, dtype=bool)
     flat = np.asarray(truth).ravel()
@@ -423,9 +438,8 @@ def truth_point_mask(truth: np.ndarray, points_per_class: int,
 
 def _agreement(pred, truth, truth_points, seed) -> tuple[float, float]:
     aligned = align_labels(pred, truth)
-    points = scored_points(truth_points)
-    if points:
-        m = truth_point_mask(truth, points, seed)
+    if truth_points is not None:
+        m = truth_point_mask(truth, truth_points, seed)
         cm = confusion(aligned[m], truth[m])
     else:
         cm = confusion(aligned, truth)
@@ -498,10 +512,10 @@ def _within_class_entropy(img, labelmap, kind: EntropyKind) -> float:
 def _partition(img, params: ClusterParams, seed: int) -> tuple:
     """A cluster cell's kind-free part: the sampled features, their
     clusters and CEF, and the seconds extraction and clustering took."""
-    stride = params.stride or _auto_stride(img.shape)
+    stride = _auto_stride(img.shape) if params.stride is None else params.stride
     t0 = time.perf_counter()
     xs = extract_features([img], stride)
-    assignment, cef_val = cluster(xs, params.k, params.sigma or None,
+    assignment, cef_val = cluster(xs, params.k, params.sigma,
                                   seed=seed, restarts=params.restarts)
     return xs, assignment, cef_val, time.perf_counter() - t0
 
@@ -575,11 +589,12 @@ def run_matrix(cfg: RunConfig) -> list[ReportRow]:
     (dataset, seed): the partition takes no entropy kind, so the seed's
     first cluster cell makes it and each kind's cell paints and scores
     it.  A cluster row's ``runtime_s`` is the partition's seconds plus
-    the cell's own, as ``run_cluster_cell`` reports it.  A failing cell
-    gives error rows carrying its elapsed time, and a partition that
-    raised is not kept, so each cell that needs it fails on its own.
-    An unreadable dataset gives every one of its cells an error row
-    with runtime 0.  Neither stops the rest.  Rows come back sorted by
+    the cell's own, as ``run_cluster_cell`` reports it.  A cell that
+    fails on its data gives error rows carrying its elapsed time, and a
+    partition that raised is not kept, so each cell that needs it fails
+    on its own.  An unreadable dataset gives every one of its cells an
+    error row with runtime 0.  Neither stops the rest; any exception
+    but ``_DATA_ERRORS`` does.  Rows come back sorted by
     task, entropy, param, dataset, level, metric, seed.  Metric values
     are a pure function of the config.
     """
@@ -588,7 +603,7 @@ def run_matrix(cfg: RunConfig) -> list[ReportRow]:
     for spec in cfg.datasets:
         try:
             ds = _load_dataset(spec, cfg.preprocess)
-        except Exception:
+        except _DATA_ERRORS:
             ds = None
         partitions: dict[int, tuple] = {}  # by seed
         for task, kind, level, seed in plan:
@@ -611,7 +626,7 @@ def run_matrix(cfg: RunConfig) -> list[ReportRow]:
                     rows += _cluster_rows(ds.img, ds.truth, kind, partitions[seed],
                                           cfg.cluster.k, seed, spec.name,
                                           cfg.truth_points)
-            except Exception:
+            except _DATA_ERRORS:
                 elapsed = 0.0 if ds is None else time.perf_counter() - t0
                 rows += _rows(task, kind, spec.name, level, seed, elapsed,
                               error=float("nan"))

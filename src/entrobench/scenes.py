@@ -63,6 +63,14 @@ def scene_spec(name: str, width: int = 256, height: int = 256,
     return _BUILDERS[name](width, height, noise)
 
 
+def _warp_shape(width: int, height: int, paired: bool) -> tuple[int, int]:
+    """The (h, w) raster a scene's registration warps, refused if over the
+    warp's pixel limit: the scene, or, paired, ``scene_pair``'s canvas."""
+    m = 2 * _PAIR_MARGIN if paired else 0
+    _check_size((height + m, width + m))
+    return height + m, width + m
+
+
 def named_scene(name: str, width: int = 256, height: int = 256,
                 noise: float = 8.0, seed: int = 0
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -84,8 +92,7 @@ def scene_pair(name: str, width: int = 256, height: int = 256,
     the moving image back onto the reference.  A canvas over the warp's
     pixel limit is refused before it is rendered.
     """
-    w, h = width + 2 * _PAIR_MARGIN, height + 2 * _PAIR_MARGIN
-    _check_size((h, w))
+    h, w = _warp_shape(width, height, paired=True)
     canvas, _ = named_scene(name, w, h, noise, seed)
     rng = np.random.default_rng((pair_seed, 1))
     t_gen = SimilarityTransform(

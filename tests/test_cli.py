@@ -98,6 +98,7 @@ def test_unknown_verb_rejected(capsys):
     ["cluster", "x.pgm", "--entropy", "tsallis", "--q", "2"],
     ["threshold", "x.pgm", "--truth-points", "5"],
     ["cluster", "x.pgm", "--truth-points", "5", "--k", "2"],
+    ["cluster", "x.pgm", "--stride", "abc"],
 ])
 def test_bad_flag_combinations_exit_with_usage(argv):
     with pytest.raises(SystemExit) as exc:
@@ -252,20 +253,22 @@ def test_threshold_verb_matches_library_cell(tmp_path, capsys):
     assert [r[5] for r in rows] == ["kappa", "overall_accuracy"]
 
 
-def test_threshold_verb_negative_truth_points_scores_every_pixel(
-        tmp_path, capsys):
-    """--truth-points follows the [run] truth_points rule: a non-positive
-    count scores every pixel."""
-    img_p, truth_p, img, truth = write_scene(tmp_path)
-    rc = main(["threshold", str(img_p), "--truth", str(truth_p),
-               "--truth-points", "-3"])
-    assert rc == 0
-    rows = csv_rows(capsys.readouterr().out)
-    expected = run_threshold_cell(median_filter_3x3(img), truth,
-                                  EntropyKind.shannon(), ThresholdParams(),
-                                  2, 0, "scene")
-    assert [r[:7] for r in rows] == \
-        [format_row(e).split(",")[:7] for e in expected]
+def test_threshold_verb_refuses_truth_points_below_one(tmp_path, capsys,
+                                                      monkeypatch):
+    """--truth-points follows the [run] truth_points rule: a count below 1
+    is refused, before the files are read; leaving it out scores every
+    pixel."""
+    img_p, truth_p, _, _ = write_scene(tmp_path)
+    monkeypatch.setattr(cli, "_load_dataset",
+                        lambda *a: pytest.fail("a file was read"))
+    for points in ("0", "-3"):
+        rc = main(["threshold", str(img_p), "--truth", str(truth_p),
+                   "--truth-points", points])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: truth points per class must be >= 1, "
+                       f"got {points}\n")
 
 
 def test_threshold_verb_criterion_row_without_truth(tmp_path, capsys):
@@ -335,6 +338,11 @@ def test_cluster_verb_auto_stride_runs(tmp_path, capsys):
     assert rc == 0
     rows = csv_rows(capsys.readouterr().out)
     assert [r[5] for r in rows] == ["score"]
+    # auto is the one spelling of the default, as in a config
+    for flag in ("--stride", "--sigma"):
+        assert main(["cluster", str(img_p), "--k", "2", flag, "auto"]) == 0
+        assert [r[:7] for r in csv_rows(capsys.readouterr().out)] == \
+            [r[:7] for r in rows]
 
 
 # -------------------------------------------------------------------- bench
@@ -404,6 +412,15 @@ BAD_SETTINGS = {
                       "sigma must be positive and finite, got -1.0"),
     "cluster-stride": ("[datasets]", "[cluster]\nstride = -2\n\n[datasets]",
                        "stride must be >= 1"),
+    # None, written auto, is the one spelling of automatic or every pixel
+    "cluster-stride-0": ("[datasets]", "[cluster]\nstride = 0\n\n[datasets]",
+                         "stride must be >= 1"),
+    "cluster-sigma-0": ("[datasets]", "[cluster]\nsigma = 0\n\n[datasets]",
+                        "sigma must be positive and finite, got 0.0"),
+    "truth-points-0": ("seeds = 0\n", "seeds = 0\ntruth_points = 0\n",
+                       "truth points per class must be >= 1, got 0"),
+    "truth-points-negative": ("seeds = 0\n", "seeds = 0\ntruth_points = -3\n",
+                              "truth points per class must be >= 1, got -3"),
     "threshold-budget": ("levels = 1", "levels = 1 5\nbudget = 200",
                          "budget 200 below minimum 250"),
     "scene-name": ("scene:two-region", "scene:nosuch",
@@ -440,11 +457,30 @@ def test_bench_bad_setting_fails_before_any_cell(tmp_path, capsys, monkeypatch,
      "bins must be a divisor of 256"),
     (["threshold", "absent.pgm", "--levels", "5", "--budget", "200"],
      "budget 200 below minimum 250"),
+    (["cluster", "absent.pgm", "--stride", "0"], "stride must be >= 1"),
+    (["cluster", "absent.pgm", "--sigma", "0"], "sigma must be positive"),
+    (["cluster", "absent.pgm", "--truth", "absent.pgm", "--truth-points", "0"],
+     "truth points per class must be >= 1, got 0"),
 ])
 def test_verb_bad_setting_fails_before_its_files_are_read(argv, cause, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and cause in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["register", "{img}", "{bad}"],
+    ["threshold", "{bad}"],
+    ["cluster", "{img}", "--truth", "{bad}"],
+])
+def test_malformed_pgm_error_names_its_file(tmp_path, capsys, argv):
+    img_p, _, _, _ = write_scene(tmp_path, size=32)
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P5\n4 4\n255\n")
+    assert main([a.format(img=img_p, bad=bad) for a in argv]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: truncated payload: expected 16 bytes, got 0 "
+        "(byte 11)\n")
 
 
 def test_bench_bad_config_reports_error(tmp_path, capsys):

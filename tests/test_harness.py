@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entrobench import harness
+from entrobench import harness, scenes
 from entrobench.entropy import SHANNON, EntropyKind, histogram
 from entrobench.harness import (CSV_HEADER, ClusterParams, DatasetSpec,
                                 RegisterParams, ReportRow, RunConfig,
@@ -141,12 +141,14 @@ def test_dataset_spec_validation():
 
 
 def test_cluster_params_validation():
-    # None or 0 is automatic for stride and sigma
-    for auto in (None, 0):
-        ClusterParams(stride=auto, sigma=auto)
+    # None is the one spelling of automatic for stride and sigma; 0 is
+    # refused, as extract_features and cluster refuse it
+    ClusterParams(stride=None, sigma=None)
     for bad, named in [(dict(k=1), "k 1 outside"), (dict(k=9), "k 9 outside"),
                        (dict(restarts=0), "restarts must be >= 1"),
+                       (dict(stride=0), "stride must be >= 1"),
                        (dict(stride=-2), "stride must be >= 1"),
+                       (dict(sigma=0.0), "sigma must be positive"),
                        (dict(sigma=-1.0), "sigma must be positive"),
                        (dict(sigma=float("nan")), "sigma must be positive"),
                        (dict(sigma=float("inf")), "sigma must be positive")]:
@@ -163,11 +165,37 @@ def test_run_config_validation():
     ok = dict(tasks=("threshold",), kinds=(SHANNON,), datasets=(scene_ds(),),
               seeds=(0,))
     RunConfig(**ok)
+    RunConfig(**ok, truth_points=1)
     for bad in (dict(tasks=()), dict(tasks=("paint",)), dict(kinds=()),
                 dict(datasets=()), dict(seeds=()),
-                dict(datasets=(scene_ds(), scene_ds()))):
+                dict(datasets=(scene_ds(), scene_ds())),
+                # None is the one spelling of every pixel
+                dict(truth_points=0), dict(truth_points=-3)):
         with pytest.raises(ValueError):
             RunConfig(**{**ok, **bad})
+
+
+def test_run_config_refuses_scene_too_large_to_warp(monkeypatch):
+    """A register task's scene, or with a pair seed the canvas its pair is
+    cut from, is checked against the warp's pixel limit before anything
+    is rendered."""
+    def render(*args, **kwargs):
+        raise AssertionError("a scene was rendered")
+
+    monkeypatch.setattr(harness, "named_scene", render)
+    monkeypatch.setattr(scenes, "named_scene", render)
+    big = DatasetSpec(name="big", source="scene", scene="five-region",
+                      width=4000, height=4000)
+    paired = replace(big, width=3600, height=3600, pair_seed=1)
+    run = dict(kinds=(SHANNON,), seeds=(0,))
+    for ds, shape in [(big, "4000x4000 raster has 16000000"),
+                      (paired, "3680x3680 raster has 13542400")]:
+        with pytest.raises(ValueError, match=f"dataset big: a {shape} pixels, "
+                                             "over the 13094412 pixel limit"):
+            RunConfig(tasks=("threshold", "register"), datasets=(ds,), **run)
+        RunConfig(tasks=("threshold", "cluster"), datasets=(ds,), **run)
+    RunConfig(tasks=("register",), datasets=(replace(paired, pair_seed=None),),
+              **run)
 
 
 @pytest.mark.parametrize("field, value, named", [
@@ -329,10 +357,35 @@ def test_parse_config_names_unknown_sections_and_keys(tmp_path):
             # which search runs at a level is fixed, not a setting
             ("[datasets]", "[threshold]\nsearch = heuristic\n\n[datasets]",
              r"\[threshold\]: unknown keys \['search'\]"),
+            ("scene:two-region width=64 height=64 seed=3", "file:x.pgm mask=y",
+             r"dataset s1: unknown keys \['mask'\]"),
             ("[datasets]", "[clustr]\nk = 4\n\n[datasets]",
              r"unknown section \[clustr\]")]:
         with pytest.raises(ValueError, match=named):
             parse_config(write_config(tmp_path, MINIMAL.replace(old, new)))
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("seeds = 0 1", "seeds = 0 x",
+     "config [run]: seeds: invalid literal for int() with base 10: 'x'"),
+    ("[run]\n", "[run]\npreprocess = maybe\n",
+     "config [run]: preprocess: bad boolean 'maybe'"),
+    ("[datasets]", "[cluster]\nk = five\n\n[datasets]",
+     "config [cluster]: k: invalid literal for int() with base 10: 'five'"),
+    ("[datasets]", "[cluster]\nsigma = wide\n\n[datasets]",
+     "config [cluster]: sigma: could not convert string to float: 'wide'"),
+    ("[datasets]", "[threshold]\nlevels = 2 three\n\n[datasets]",
+     "config [threshold]: levels: invalid literal for int() with base 10: "
+     "'three'"),
+    ("width=64", "width=abc",
+     "dataset s1: width: invalid literal for int() with base 10: 'abc'"),
+    ("seed=3", "seed=3 pair_seed=x",
+     "dataset s1: pair_seed: invalid literal for int() with base 10: 'x'"),
+], ids=["run-seeds", "run-preprocess", "cluster-k", "cluster-sigma",
+        "threshold-levels", "scene-width", "scene-pair-seed"])
+def test_parse_config_names_the_key_a_reader_refuses(tmp_path, old, new, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        parse_config(write_config(tmp_path, MINIMAL.replace(old, new)))
 
 
 def test_parse_config_refuses_comma_in_dataset_name(tmp_path):
@@ -641,6 +694,21 @@ def test_run_matrix_failing_cell_errors_only_itself():
                                                datasets=(tiny,))))
     assert values(rows) == {**alone, **tiny_threshold}
     assert len(tiny_threshold) == 4 and len(alone) == 10
+
+
+def test_run_matrix_lets_a_program_fault_through(monkeypatch):
+    """Only a failure on the data becomes an error row: a TypeError in a
+    cell or in the loader is a fault of the program and propagates."""
+    def fault(*args, **kwargs):
+        raise TypeError("a fault")
+
+    monkeypatch.setattr(harness, "run_threshold_cell", fault)
+    with pytest.raises(TypeError, match="a fault"):
+        run_matrix(matrix_config())
+    monkeypatch.undo()
+    monkeypatch.setattr(harness, "_load_dataset", fault)
+    with pytest.raises(TypeError, match="a fault"):
+        run_matrix(matrix_config())
 
 
 def test_run_matrix_calls_in_dataset_task_kind_seed_order(monkeypatch):
