@@ -6,7 +6,9 @@ config-driven matrix; ``synth`` writes synthetic scenes (and, with
 --pair-seed, a registration pair with its ground-truth transform).
 Task verbs read their files as a config's ``file:`` dataset is read and
 run the cell functions ``bench`` runs, so replaying a bench row through
-the matching verb reproduces its metric value.
+the matching verb reproduces its metric value.  Like a config file,
+a verb sets what the benchmark compares, and each search runs at the
+library's default effort.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def _load(args, img_path: str, **paths):
     the image's stem as its name; returns (name, loaded dataset)."""
     spec = DatasetSpec(name=Path(img_path).stem, source="file",
                        img_path=img_path, **paths)
-    return spec.name, _load_dataset(spec, not args.no_preprocess)
+    return spec.name, _load_dataset(spec, not args.no_preprocess, (args.verb,))
 
 
 def _finish(rows, out) -> int:
@@ -65,8 +67,7 @@ def _finish(rows, out) -> int:
 
 def _cmd_threshold(args, parser) -> int:
     _check_truth_flags(args, parser)
-    params = ThresholdParams(levels=(args.levels,), budget=args.budget,
-                             criterion=args.criterion)
+    params = ThresholdParams(levels=(args.levels,), criterion=args.criterion)
     (kind,) = _threshold_kinds(params, (args.kind,))
     dataset, ds = _load(args, args.image, truth_path=args.truth)
     rows = run_threshold_cell(ds.img, ds.truth, kind, params, args.levels,
@@ -84,8 +85,7 @@ def _cmd_register(args, parser) -> int:
             t_true = SimilarityTransform(*(float(x) for x in parts))
         except ValueError as e:
             parser.error(f"bad --true-transform: {e}")
-    params = RegisterConfig(bins=args.bins, budget=args.budget,
-                            restarts=args.restarts)
+    params = RegisterConfig(bins=args.bins)
     dataset, ds = _load(args, args.ref, mov_path=args.mov)
     rows = run_register_cell(ds.ref, ds.mov, t_true, args.kind, params,
                              args.seed, dataset)
@@ -94,8 +94,7 @@ def _cmd_register(args, parser) -> int:
 
 def _cmd_cluster(args, parser) -> int:
     _check_truth_flags(args, parser)
-    params = ClusterParams(k=args.k, stride=args.stride,
-                           restarts=args.restarts, sigma=args.sigma)
+    params = ClusterParams(k=args.k, stride=args.stride, sigma=args.sigma)
     dataset, ds = _load(args, args.image, truth_path=args.truth)
     rows = run_cluster_cell(ds.img, ds.truth, args.kind, params, args.seed,
                             dataset, args.truth_points)
@@ -174,10 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="threshold one image, score vs truth")
     p.add_argument("--levels", type=int, default=ThresholdParams.levels[0],
                    help="threshold count")
-    p.add_argument("--budget", type=int, default=ThresholdParams.budget,
-                   help="evolution-strategy evaluation budget, used only "
-                        "for Tsallis at levels 4-5, where no exact search "
-                        "runs")
     p.add_argument("--criterion", choices=("max-entropy", "cross-entropy"),
                    default=ThresholdParams.criterion)
     p.set_defaults(func=_cmd_threshold)
@@ -189,8 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=RegisterConfig.bins,
                    help="joint-histogram bins of the full-resolution refinement "
                         "(a divisor of 256); the coarse first stage uses at most 16")
-    p.add_argument("--budget", type=int, default=RegisterConfig.budget)
-    p.add_argument("--restarts", type=int, default=RegisterConfig.restarts)
     p.add_argument("--true-transform",
                    help="ground truth as dx,dy,theta,s for the rmse row")
     p.set_defaults(func=_cmd_register)
@@ -204,7 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=_auto(float), default=ClusterParams.sigma,
                    help="kernel width, > 0, or auto: Silverman's rule "
                         "(default auto)")
-    p.add_argument("--restarts", type=int, default=ClusterParams.restarts)
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("bench", help="run a config-driven experiment matrix")

@@ -122,7 +122,7 @@ def _reject_repeats(what: str, values) -> None:
 @dataclass(frozen=True)
 class ThresholdParams:
     levels: tuple[int, ...] = (2,)
-    budget: int = 5000  # the evolution strategy's, where no exact search runs
+    budget: int = 5000  # the ES's where no search is exact; set in code only
     criterion: str = "max-entropy"
 
     def __post_init__(self):
@@ -302,16 +302,16 @@ def _read(where: str, values, readers: dict) -> dict:
 
 # a reader per key, keyed by the config's own key names; a key a config
 # leaves out keeps its dataclass default, and any other key fails
-# instead of being ignored
+# instead of being ignored.  A config sets what the benchmark compares;
+# how long a search runs is not a key, so each runs at its default
 _RUN_KEYS = {"tasks": _words(str), "entropies": _words(parse_entropy),
              "seeds": _words(int), "out": str, "preprocess": _parse_bool,
              "truth_points": int}
 _PARAM_SECTIONS = {
-    "threshold": (ThresholdParams, {"levels": _words(int), "budget": int,
-                                    "criterion": str}),
-    "register": (RegisterConfig, {"bins": int, "budget": int, "restarts": int}),
+    "threshold": (ThresholdParams, {"levels": _words(int), "criterion": str}),
+    "register": (RegisterConfig, {"bins": int}),
     "cluster": (ClusterParams, {"k": int, "stride": _auto(int),
-                                "restarts": int, "sigma": _auto(float)}),
+                                "sigma": _auto(float)}),
 }
 _SCENE_KEYS = {"width": int, "height": int, "noise": float, "seed": int,
                "pair_seed": int}
@@ -345,6 +345,8 @@ def parse_config(path) -> RunConfig:
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     cp.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+    if cp.defaults():  # configparser would copy its keys into every section
+        raise ValueError("config: unknown section [DEFAULT]")
     for name in cp.sections():
         if name not in ("run", "datasets", *_PARAM_SECTIONS):
             raise ValueError(f"config: unknown section [{name}]")
@@ -380,24 +382,26 @@ def _read_pgm(path: str) -> np.ndarray:
         raise
 
 
-def _load_dataset(spec: DatasetSpec, preprocess: bool) -> _Loaded:
+def _load_dataset(spec: DatasetSpec, preprocess: bool, tasks) -> _Loaded:
+    """The rasters the cells of ``tasks`` read: a truth file only for
+    threshold or cluster, a registration pair only for register.  A
+    dataset with no pair, or loaded for no register cell, self-registers
+    against identity truth."""
+    truth = ref = mov = t_true = None
     if spec.source == "scene":
         img, truth = named_scene(spec.scene, spec.width, spec.height,
                                  spec.noise, spec.seed)
-        if spec.pair_seed is not None:
+        if spec.pair_seed is not None and "register" in tasks:
             ref, mov, t_true = scene_pair(spec.scene, spec.width, spec.height,
                                           spec.noise, spec.seed, spec.pair_seed)
-        else:
-            ref, mov, t_true = img, img, SimilarityTransform.identity()
     else:
         img = _read_pgm(spec.img_path)
-        truth = _read_pgm(spec.truth_path) if spec.truth_path else None
-        if spec.mov_path:
-            ref = img
-            mov = _read_pgm(spec.mov_path)
-            t_true = None
-        else:
-            ref, mov, t_true = img, img, SimilarityTransform.identity()
+        if spec.truth_path and ("threshold" in tasks or "cluster" in tasks):
+            truth = _read_pgm(spec.truth_path)
+        if spec.mov_path and "register" in tasks:
+            ref, mov = img, _read_pgm(spec.mov_path)
+    if ref is None:
+        ref, mov, t_true = img, img, SimilarityTransform.identity()
     if preprocess:
         ref_is_img, mov_is_ref = ref is img, mov is ref
         img = median_filter_3x3(img)
@@ -592,8 +596,9 @@ def run_matrix(cfg: RunConfig) -> list[ReportRow]:
     the cell's own, as ``run_cluster_cell`` reports it.  A cell that
     fails on its data gives error rows carrying its elapsed time, and a
     partition that raised is not kept, so each cell that needs it fails
-    on its own.  An unreadable dataset gives every one of its cells an
-    error row with runtime 0.  Neither stops the rest; any exception
+    on its own.  A dataset loads only the files its planned cells read,
+    and an unreadable one gives every one of its cells an error row with
+    runtime 0.  Neither stops the rest; any exception
     but ``_DATA_ERRORS`` does.  Rows come back sorted by
     task, entropy, param, dataset, level, metric, seed.  Metric values
     are a pure function of the config.
@@ -602,7 +607,7 @@ def run_matrix(cfg: RunConfig) -> list[ReportRow]:
     rows: list[ReportRow] = []
     for spec in cfg.datasets:
         try:
-            ds = _load_dataset(spec, cfg.preprocess)
+            ds = _load_dataset(spec, cfg.preprocess, cfg.tasks)
         except _DATA_ERRORS:
             ds = None
         partitions: dict[int, tuple] = {}  # by seed

@@ -17,15 +17,16 @@ import numpy as np
 import entrobench
 from entrobench.clustering import (assignment_to_labelmap, cluster,
                                    extract_features)
-from entrobench.entropy import SHANNON, EntropyKind, entropy, histogram
+from entrobench.entropy import SHANNON, EntropyKind, entropy
+from entrobench.harness import ThresholdParams, run_threshold_cell
 from entrobench.metrics import (align_labels, confusion, kappa,
                                 overall_accuracy)
 from entrobench.raster import (PgmError, decode_pgm, encode_pgm,
                                median_filter_3x3)
 from entrobench.registration import RegisterConfig, register
 from entrobench.scenes import named_scene, scene_pair
-from entrobench.thresholding import (Criterion, apply_thresholds,
-                                     exhaustive_search, heuristic_search)
+from entrobench.thresholding import (Criterion, exhaustive_search,
+                                     heuristic_search)
 
 RENYI2 = EntropyKind.renyi(2.0)
 TSALLIS2 = EntropyKind.tsallis(2.0)
@@ -226,14 +227,10 @@ def test_threshold_search_oracle_equivalence():
 # ----------------------------------------------- 3: level-sweep peak shape
 
 def _threshold_kappa(img, truth, kind, level, seed):
-    crit = Criterion.max_entropy(kind)
-    h = histogram(img)
-    if level <= crit.max_exact_level:  # the path run_threshold_cell takes
-        t, _ = exhaustive_search(h, level, crit)
-    else:
-        t, _ = heuristic_search(h, level, crit, seed=seed)
-    pred = align_labels(apply_thresholds(img, t), truth)
-    return kappa(confusion(pred, truth))
+    """The kappa row of the cell a bench config runs at this level."""
+    rows = run_threshold_cell(img, truth, kind, ThresholdParams(), level, seed,
+                              "five")
+    return next(r.value for r in rows if r.metric == "kappa")
 
 
 def test_level_sweep_peaks_at_scene_structure():

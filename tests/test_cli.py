@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import argparse
 import os
 import re
 import subprocess
@@ -99,6 +100,11 @@ def test_unknown_verb_rejected(capsys):
     ["threshold", "x.pgm", "--truth-points", "5"],
     ["cluster", "x.pgm", "--truth-points", "5", "--k", "2"],
     ["cluster", "x.pgm", "--stride", "abc"],
+    # search effort is not a setting
+    ["threshold", "x.pgm", "--levels", "5", "--budget", "200"],
+    ["register", "r.pgm", "m.pgm", "--budget", "400"],
+    ["register", "r.pgm", "m.pgm", "--restarts", "1"],
+    ["cluster", "x.pgm", "--restarts", "1"],
 ])
 def test_bad_flag_combinations_exit_with_usage(argv):
     with pytest.raises(SystemExit) as exc:
@@ -162,17 +168,29 @@ def test_csv_kind_columns_read_back_through_entropy_flag(kind):
 
 
 def test_parser_defaults_are_the_dataclass_defaults():
+    """Each verb takes exactly these flags, so a new one is a deliberate
+    change, and a flag left out is its settings class's default."""
     parser = _build_parser()
+    cell = {"--entropy", "--seed", "--no-preprocess", "--out"}
+    scored = cell | {"--truth", "--truth-points"}
+    (verbs,) = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    assert {verb: {o for a in p._actions for o in a.option_strings}
+            - {"-h", "--help"} for verb, p in verbs.choices.items()} == {
+        "threshold": scored | {"--levels", "--criterion"},
+        "register": cell | {"--bins", "--true-transform"},
+        "cluster": scored | {"--k", "--stride", "--sigma"},
+        "bench": {"--config", "--out"},
+        "synth": {"--spec", "--width", "--height", "--noise", "--seed",
+                  "--pair-seed", "--out"}}
     a = parser.parse_args(["threshold", "x.pgm"])
-    assert ThresholdParams(levels=(a.levels,), budget=a.budget,
-                           criterion=a.criterion) \
+    assert ThresholdParams(levels=(a.levels,), criterion=a.criterion) \
         == ThresholdParams()
     a = parser.parse_args(["register", "r.pgm", "m.pgm"])
-    assert RegisterConfig(bins=a.bins, budget=a.budget, restarts=a.restarts,
-                          seed=a.seed) == RegisterConfig()
+    assert RegisterConfig(bins=a.bins, seed=a.seed) == RegisterConfig()
     a = parser.parse_args(["cluster", "x.pgm"])
-    assert ClusterParams(k=a.k, stride=a.stride, restarts=a.restarts,
-                         sigma=a.sigma) == ClusterParams()
+    assert ClusterParams(k=a.k, stride=a.stride, sigma=a.sigma) \
+        == ClusterParams()
     a = parser.parse_args(["synth", "--spec", "two-region", "--out", "d"])
     spec = DatasetSpec(name="d", source="scene", scene=a.spec)
     assert (a.width, a.height, a.noise, a.seed) == \
@@ -403,11 +421,11 @@ BAD_SETTINGS = {
     "register-bins": ("[datasets]", "[register]\nbins = 48\n\n[datasets]",
                       "bins must be a divisor of 256 in [2, 256], got 48"),
     "register-budget": ("[datasets]", "[register]\nbudget = 100\n\n[datasets]",
-                        "budget 100 below minimum 200"),
+                        "config [register]: unknown keys ['budget']"),
     "cluster-k": ("[datasets]", "[cluster]\nk = 9\n\n[datasets]",
                   "k 9 outside [2, 8]"),
     "cluster-restarts": ("[datasets]", "[cluster]\nrestarts = 0\n\n[datasets]",
-                         "restarts must be >= 1"),
+                         "config [cluster]: unknown keys ['restarts']"),
     "cluster-sigma": ("[datasets]", "[cluster]\nsigma = -1\n\n[datasets]",
                       "sigma must be positive and finite, got -1.0"),
     "cluster-stride": ("[datasets]", "[cluster]\nstride = -2\n\n[datasets]",
@@ -422,7 +440,7 @@ BAD_SETTINGS = {
     "truth-points-negative": ("seeds = 0\n", "seeds = 0\ntruth_points = -3\n",
                               "truth points per class must be >= 1, got -3"),
     "threshold-budget": ("levels = 1", "levels = 1 5\nbudget = 200",
-                         "budget 200 below minimum 250"),
+                         "config [threshold]: unknown keys ['budget']"),
     "scene-name": ("scene:two-region", "scene:nosuch",
                    "dataset s1: unknown scene 'nosuch'"),
     "scene-width": ("width=48", "width=0",
@@ -455,8 +473,8 @@ def test_bench_bad_setting_fails_before_any_cell(tmp_path, capsys, monkeypatch,
     (["cluster", "absent.pgm", "--stride", "-2"], "stride must be >= 1"),
     (["register", "absent.pgm", "absent.pgm", "--bins", "48"],
      "bins must be a divisor of 256"),
-    (["threshold", "absent.pgm", "--levels", "5", "--budget", "200"],
-     "budget 200 below minimum 250"),
+    (["threshold", "absent.pgm", "--levels", "6"],
+     "threshold level 6 outside 1-5"),
     (["cluster", "absent.pgm", "--stride", "0"], "stride must be >= 1"),
     (["cluster", "absent.pgm", "--sigma", "0"], "sigma must be positive"),
     (["cluster", "absent.pgm", "--truth", "absent.pgm", "--truth-points", "0"],
@@ -501,10 +519,6 @@ preprocess = {preprocess}
 [threshold]
 levels = 2
 
-[register]
-budget = 400
-restarts = 1
-
 [cluster]
 k = 3
 stride = 2
@@ -534,8 +548,7 @@ def test_verbs_match_matrix_rows_of_a_file_dataset(tmp_path, capsys, preprocess)
     for spec in ("shannon", "tsallis:2"):
         for argv in (["threshold", str(img_p), "--truth", str(truth_p),
                       "--levels", "2"],
-                     ["register", str(img_p), str(mov_p), "--budget", "400",
-                      "--restarts", "1"],
+                     ["register", str(img_p), str(mov_p)],
                      ["cluster", str(img_p), "--truth", str(truth_p), "--k", "3",
                       "--stride", "2"]):
             assert main([*argv, "--entropy", spec, *flags]) == 0

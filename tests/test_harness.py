@@ -292,18 +292,14 @@ truth_points = 30
 
 [threshold]
 levels = 2 3
-budget = 800
 
 [register]
 bins = 32
-budget = 400
-restarts = 2
 
 [cluster]
 k = 4
 stride = 2
 sigma = 0.05
-restarts = 1
 
 [datasets]
 pair = scene:five-region width=96 height=96 noise=6 seed=1 pair_seed=4
@@ -317,9 +313,9 @@ def test_parse_config_full(tmp_path):
     assert cfg.out == "results"
     assert cfg.preprocess is False
     assert cfg.truth_points == 30
-    assert cfg.threshold == ThresholdParams(levels=(2, 3), budget=800)
-    assert cfg.register == RegisterParams(bins=32, budget=400, restarts=2)
-    assert cfg.cluster == ClusterParams(k=4, stride=2, sigma=0.05, restarts=1)
+    assert cfg.threshold == ThresholdParams(levels=(2, 3))
+    assert cfg.register == RegisterParams(bins=32)
+    assert cfg.cluster == ClusterParams(k=4, stride=2, sigma=0.05)
     pair, disk = cfg.datasets
     assert (pair.scene, pair.noise, pair.pair_seed) == ("five-region", 6.0, 4)
     assert (disk.img_path, disk.truth_path, disk.mov_path) == \
@@ -357,10 +353,22 @@ def test_parse_config_names_unknown_sections_and_keys(tmp_path):
             # which search runs at a level is fixed, not a setting
             ("[datasets]", "[threshold]\nsearch = heuristic\n\n[datasets]",
              r"\[threshold\]: unknown keys \['search'\]"),
+            # nor is how long a search runs
+            ("[datasets]", "[threshold]\nbudget = 800\n\n[datasets]",
+             r"\[threshold\]: unknown keys \['budget'\]"),
+            ("[datasets]", "[register]\nbudget = 400\n\n[datasets]",
+             r"\[register\]: unknown keys \['budget'\]"),
+            ("[datasets]", "[register]\nrestarts = 2\n\n[datasets]",
+             r"\[register\]: unknown keys \['restarts'\]"),
+            ("[datasets]", "[cluster]\nrestarts = 1\n\n[datasets]",
+             r"\[cluster\]: unknown keys \['restarts'\]"),
             ("scene:two-region width=64 height=64 seed=3", "file:x.pgm mask=y",
              r"dataset s1: unknown keys \['mask'\]"),
             ("[datasets]", "[clustr]\nk = 4\n\n[datasets]",
-             r"unknown section \[clustr\]")]:
+             r"unknown section \[clustr\]"),
+            # configparser would copy its keys into every section
+            ("[run]", "[DEFAULT]\nk = 4\n\n[run]",
+             r"^config: unknown section \[DEFAULT\]$")]:
         with pytest.raises(ValueError, match=named):
             parse_config(write_config(tmp_path, MINIMAL.replace(old, new)))
 
@@ -640,7 +648,7 @@ def test_run_matrix_metric_values_reproducible():
         [format_row(r).split(",")[:7] for r in b]
 
 
-def test_run_matrix_isolates_bad_dataset():
+def test_run_matrix_isolates_bad_dataset(tmp_path, monkeypatch):
     bad = DatasetSpec(name="broken", source="file", img_path="missing.pgm")
     rows = run_matrix(matrix_config(datasets=(bad, scene_ds())))
     errors = [r for r in rows if r.metric == "error"]
@@ -648,6 +656,23 @@ def test_run_matrix_isolates_bad_dataset():
     assert len(errors) == 6  # 3 kinds x 2 levels for the unreadable dataset
     assert all(r.dataset == "broken" and np.isnan(r.value) for r in errors)
     assert len(good) == 12 and all(r.dataset == "s1" for r in good)
+
+    # a dataset loads only what its planned cells read: a missing file no
+    # cell reads fails no cell, and a pair no cell registers is not made
+    img_p = tmp_path / "img.pgm"
+    img_p.write_bytes(encode_pgm(small_scene()[0]))
+    pairs = []
+    monkeypatch.setattr(harness, "scene_pair", lambda *a: pairs.append(a))
+    for task, spec in [
+            ("threshold", DatasetSpec(name="d", source="file", img_path=str(img_p),
+                                      mov_path="missing.pgm")),
+            ("register", DatasetSpec(name="d", source="file", img_path=str(img_p),
+                                     truth_path="missing.pgm")),
+            ("threshold", replace(scene_ds(), pair_seed=3))]:
+        rows = run_matrix(matrix_config(tasks=(task,), kinds=(SHANNON,),
+                                        datasets=(spec,)))
+        assert rows and all(r.metric != "error" for r in rows), task
+    assert pairs == []
 
 
 @pytest.mark.parametrize("criterion", ["max-entropy", "cross-entropy"])
@@ -764,7 +789,7 @@ def test_run_matrix_clusters_once_per_dataset_and_seed(monkeypatch):
     got = {(r.dataset, r.entropy, r.seed, r.metric): r.value for r in rows}
     want = {}
     for spec in specs:
-        ds = harness._load_dataset(spec, preprocess=True)
+        ds = harness._load_dataset(spec, True, ("cluster",))
         for kind, seed in itertools.product(kinds, seeds):
             for r in run_cluster_cell(ds.img, ds.truth, kind, params, seed,
                                       spec.name):
@@ -797,7 +822,7 @@ def test_load_dataset_filters_each_distinct_raster_once(source, paired, filters,
         return median_filter_3x3(a)
 
     monkeypatch.setattr(harness, "median_filter_3x3", counting)
-    ds = harness._load_dataset(spec, preprocess=True)
+    ds = harness._load_dataset(spec, True, ("register",))
     assert len(calls) == filters
     assert ds.img.tobytes() == median_filter_3x3(img).tobytes()
     if not paired:
